@@ -26,6 +26,8 @@
 #include "sim/trace.hh"
 #include "sim/trace_io.hh"
 
+#include "reference_taint_storage.hh"
+
 using namespace pift;
 using namespace pift::sim;
 
@@ -267,11 +269,9 @@ TEST(BatchPipeline, PackedTraceSlicesMatchSource)
  * The tentpole differential: over the whole registry, batched replay
  * must reproduce the per-event tracker bit for bit — verdicts, every
  * stats counter, exported tracker state and the backing TaintStorage's
- * operation counters (which also pins that the hot-probe memo never
- * changes observable storage behaviour). Batch sizes cover the
- * degenerate single-record chunk, a prime that divides no app's
- * record count evenly, the shipped default, and a per-app random size
- * from a fixed seed.
+ * operation counters. Batch sizes cover the degenerate single-record
+ * chunk, a prime that divides no app's record count evenly, the
+ * shipped default, and a per-app random size from a fixed seed.
  */
 TEST(BatchPipeline, RegistryDifferentialAgainstPerEvent)
 {
@@ -293,6 +293,43 @@ TEST(BatchPipeline, RegistryDifferentialAgainstPerEvent)
             EXPECT_EQ(tracker.anyLeak(), ref.anyLeak());
             expectSameTrackerStats(tracker.stats(), ref.stats());
             expectSameTrackerState(tracker.exportState(), ref_state);
+            expectSameStorageStats(store.stats(), ref_store.stats());
+        }
+    }
+}
+
+/**
+ * The indexed TaintStorage against the linear-scan reference
+ * (reference_taint_storage.hh) over the whole registry: each app
+ * replayed through PiftTracker over both must leave identical
+ * verdicts, tracker stats and state, storage state and storage
+ * counters — at the paper's geometry and at a 16-entry cache under
+ * every policy, with and without coalescing, where eviction is
+ * constant.
+ */
+TEST(IndexedStorage, RegistryDifferentialAgainstScan)
+{
+    core::PiftParams params;
+    std::vector<core::TaintStorageParams> geometries = {
+        core::TaintStorageParams{}};
+    for (auto policy : {core::EvictPolicy::LruSpill,
+                        core::EvictPolicy::LruDrop,
+                        core::EvictPolicy::DropNew})
+        for (bool coalesce : {true, false})
+            geometries.push_back({16, policy, coalesce});
+    for (const auto &geometry : geometries) {
+        for (const auto &run : registryRuns()) {
+            testref::ReferenceTaintStorage ref_store(geometry);
+            core::PiftTracker ref(params, ref_store);
+            replayBatched(run.trace, ref);
+            core::TaintStorage store(geometry);
+            core::PiftTracker tracker(params, store);
+            replayBatched(run.trace, tracker);
+            EXPECT_EQ(tracker.anyLeak(), ref.anyLeak());
+            expectSameTrackerStats(tracker.stats(), ref.stats());
+            expectSameTrackerState(tracker.exportState(),
+                                   ref.exportState());
+            EXPECT_TRUE(store.exportState() == ref_store.exportState());
             expectSameStorageStats(store.stats(), ref_store.stats());
         }
     }
