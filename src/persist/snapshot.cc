@@ -117,6 +117,9 @@ decodeStorage(ByteReader &r, core::TaintStorageState &s)
     s.saturated.resize(nsat);
     for (auto &pid : s.saturated)
         pid = r.get32();
+    // A state restore would refuse is corruption, not a crash.
+    if (r.ok() && !s.wellFormed())
+        return Status::error("snapshot: storage state not well formed");
     return Status();
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "core/pift_tracker.hh"
 #include "core/taint_storage.hh"
@@ -239,6 +240,67 @@ TEST(Snapshot, EveryTruncationIsDetected)
         auto decoded = persist::decodeSnapshot(bytes.substr(0, len));
         EXPECT_FALSE(decoded.ok()) << "truncation at " << len;
     }
+}
+
+TEST(Snapshot, MalformedStorageStateIsCorruptionNotACrash)
+{
+    // A snapshot with a valid CRC whose storage state no storage could
+    // have exported — here more entries than the configured capacity
+    // — must be rejected by the decoder, so recovery degrades instead
+    // of tripping restoreState()'s precondition.
+    persist::SnapshotData data;
+    data.epoch = 1;
+    data.storage.params = smallStorage();
+    data.storage.params.entries = 2;
+    data.storage.clock = 10;
+    for (uint32_t i = 0; i < 3; ++i)
+        data.storage.entries.push_back(
+            {1, taint::AddrRange(i * 16, i * 16 + 3), uint64_t(i + 1)});
+    ASSERT_FALSE(data.storage.wellFormed());
+    auto decoded = persist::decodeSnapshot(persist::encodeSnapshot(data));
+    EXPECT_FALSE(decoded.ok());
+
+    const std::string dir = ::testing::TempDir() + "pift_malformed_snap";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(persist::writeSnapshotFile(persist::snapshotPath(dir),
+                                           data)
+                    .ok());
+    auto result = persist::recover(dir, smallStorage());
+    EXPECT_TRUE(result.corruption_detected);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StorageState, WellFormedMatchesWhatExportCanProduce)
+{
+    core::TaintStorage st(smallStorage());
+    st.insert(1, taint::AddrRange(0x100, 0x10f));
+    st.insert(1, taint::AddrRange(0x200, 0x20f));
+    core::TaintStorageState good = st.exportState();
+    ASSERT_TRUE(good.wellFormed());
+
+    auto broken = [&](auto edit) {
+        core::TaintStorageState s = good;
+        edit(s);
+        return !s.wellFormed();
+    };
+    EXPECT_TRUE(broken([](auto &s) { s.params.entries = 0; }));
+    EXPECT_TRUE(broken([](auto &s) { s.params.entries = 1; }));
+    EXPECT_TRUE(broken([](auto &s) {
+        std::swap(s.entries[0], s.entries[1]); // stamps out of order
+    }));
+    EXPECT_TRUE(broken([](auto &s) { s.clock = 0; }));
+    EXPECT_TRUE(broken([](auto &s) {
+        s.entries[1].range = taint::AddrRange(0x110, 0x11f); // touches
+    }));
+    EXPECT_TRUE(broken([](auto &s) {
+        s.entries[1].range = taint::AddrRange(0x20f, 0x200); // invalid
+    }));
+    // Without coalescing, one pid's entries may overlap.
+    EXPECT_FALSE(broken([](auto &s) {
+        s.params.coalesce = false;
+        s.entries[1].range = s.entries[0].range;
+    }));
 }
 
 TEST(Snapshot, AtomicWriteLeavesNoTmp)
