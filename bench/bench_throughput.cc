@@ -16,7 +16,7 @@
  *  - lookup_range_set: branchless binary search microbench on the
  *    sorted range store.
  *  - lookup_storage_probe: TaintStorage (LruSpill) query stream with
- *    a miss-heavy working set exercising the hot-probe cache.
+ *    a miss-heavy working set over the entry index.
  *
  * Run: ./build/bench/bench_throughput [--out FILE] [--passes N]
  */
@@ -223,9 +223,9 @@ main(int argc, char **argv)
         }));
 
     // The storage stream models the tracker's dominant pattern: a hot
-    // loop re-querying a small set of untainted locations. 64 distinct
-    // probes keep the direct-mapped memo mostly collision-free; a full
-    // CAM scan (2730 entries) only runs on memo misses.
+    // loop re-querying a small set of untainted locations. Each probe
+    // searches the index over 64 live entries; the storage keeps no
+    // probe memo, so the hot-probe hit rate reads 0.
     core::TaintStorageParams sp;
     core::TaintStorage storage(sp);
     for (uint32_t i = 0; i < 64; ++i)
