@@ -1,5 +1,6 @@
 #include "analysis/evaluate.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "baseline/full_tracker.hh"
@@ -64,13 +65,14 @@ minimalNi(const sim::Trace &trace, unsigned nt, unsigned max_ni,
           unsigned jobs)
 {
     unsigned resolved = jobs ? jobs : exec::defaultJobs();
+    const sim::PackedTrace packed(trace);
     if (resolved <= 1) {
         // Serial: stop at the first detecting NI.
         for (unsigned ni = 1; ni <= max_ni; ++ni) {
             core::PiftParams params;
             params.ni = ni;
             params.nt = nt;
-            if (piftDetectsLeak(trace, params))
+            if (piftDetectsLeak(packed, params))
                 return ni;
         }
         return max_ni + 1;
@@ -83,7 +85,7 @@ minimalNi(const sim::Trace &trace, unsigned nt, unsigned max_ni,
             core::PiftParams params;
             params.ni = static_cast<unsigned>(i) + 1;
             params.nt = nt;
-            detects[i] = piftDetectsLeak(trace, params) ? 1 : 0;
+            detects[i] = piftDetectsLeak(packed, params) ? 1 : 0;
         },
         resolved);
     for (unsigned ni = 1; ni <= max_ni; ++ni)
@@ -111,6 +113,83 @@ evaluateAccuracy(const std::vector<LabelledTrace> &set,
     return acc;
 }
 
+namespace
+{
+
+/**
+ * The NT groups of one (app, NI) replay (DESIGN.md §12, "Grouped
+ * sweep"). A tracker running at NT = lo stands for every NT in
+ * [lo, nt_hi] until an in-window store finds lo's budget spent; there
+ * it keeps NT = lo alone, and a fork holding a copy of its ranges and
+ * its state, the cursor set back to that store, takes lo+1..nt_hi.
+ * A group forks at most once, so at most one fork is ever pending.
+ */
+class NtGroups final : public core::BudgetListener
+{
+  public:
+    NtGroups(const sim::PackedTrace &trace, unsigned window,
+             bool untainting)
+        : packed(trace), ni(window), untaint(untainting)
+    {
+    }
+
+    /** Verdict of NT = nt at slot (nt - 1) * stride, nt in [1, nt_hi]. */
+    void
+    run(unsigned nt_hi, uint8_t *detected, size_t stride)
+    {
+        auto store = std::make_unique<core::IdealRangeStore>();
+        core::TrackerState state;
+        for (unsigned lo = 1;; ++lo) {
+            bool leak = false;
+            forked = false;
+            {
+                core::PiftParams params;
+                params.ni = ni;
+                params.nt = lo;
+                params.untaint = untaint;
+                core::PiftTracker tracker(params, *store);
+                tracker.restoreState(state);
+                if (lo < nt_hi)
+                    tracker.setBudgetListener(this);
+                running = store.get();
+                etel().replays.inc();
+                sim::replayBatchedFrom(packed, tracker, state.records_seen,
+                                       state.controls_seen);
+                leak = tracker.anyLeak();
+            }
+            const unsigned hi = forked ? lo : nt_hi;
+            for (unsigned nt = lo; nt <= hi; ++nt)
+                detected[(nt - 1) * stride] = leak ? 1 : 0;
+            if (!forked)
+                return;
+            store = std::move(fork_store);
+            state = std::move(fork_state);
+        }
+    }
+
+  private:
+    void
+    budgetSpent(core::PiftTracker &tracker) override
+    {
+        fork_store = std::make_unique<core::IdealRangeStore>();
+        fork_store->copyRangesFrom(*running);
+        fork_state = tracker.exportState();
+        --fork_state.records_seen; // re-run the splitting store
+        forked = true;
+        tracker.setBudgetListener(nullptr);
+    }
+
+    const sim::PackedTrace &packed;
+    const unsigned ni;
+    const bool untaint;
+    const core::IdealRangeStore *running = nullptr;
+    bool forked = false;
+    std::unique_ptr<core::IdealRangeStore> fork_store;
+    core::TrackerState fork_state;
+};
+
+} // anonymous namespace
+
 std::vector<Accuracy>
 accuracyGrid(const std::vector<LabelledTrace> &set, int ni_hi,
              int nt_hi, bool untaint, unsigned jobs)
@@ -121,26 +200,34 @@ accuracyGrid(const std::vector<LabelledTrace> &set, int ni_hi,
     const size_t apps = set.size();
 
     // Pack every trace once up front: the SoA image is immutable and
-    // shared read-only by all (cells) replays of the same app.
+    // shared read-only by all (NI) replays of the same app.
     std::vector<sim::PackedTrace> packed;
     packed.reserve(apps);
     for (const auto &item : set)
         packed.emplace_back(item.trace);
 
-    // One task per (cell, app) replay; every replay owns its tracker
-    // and store, so tasks share nothing mutable. Results land in the
-    // task's own slot — scheduling order cannot affect them.
+    // One task per (app, NI), the largest apps and widest windows
+    // first so the long tasks do not start last. Every task owns its
+    // trackers and stores, so tasks share nothing mutable, and each
+    // writes the verdicts of its own cells only: scheduling order
+    // cannot affect them.
+    std::vector<size_t> by_size(apps);
+    for (size_t ai = 0; ai < apps; ++ai)
+        by_size[ai] = ai;
+    std::stable_sort(by_size.begin(), by_size.end(),
+                     [&](size_t a, size_t b) {
+                         return packed[a].memCount() > packed[b].memCount();
+                     });
     std::unique_ptr<uint8_t[]> detected(new uint8_t[cells * apps]());
+    const size_t nis = static_cast<size_t>(ni_hi);
     exec::parallelFor(
-        cells * apps,
+        apps * nis,
         [&](size_t task) {
-            size_t cell = task / apps;
-            size_t ai = task % apps;
-            core::PiftParams params;
-            params.nt = static_cast<unsigned>(cell / ni_hi) + 1;
-            params.ni = static_cast<unsigned>(cell % ni_hi) + 1;
-            params.untaint = untaint;
-            detected[task] = piftDetectsLeak(packed[ai], params) ? 1 : 0;
+            const size_t ai = by_size[task / nis];
+            const size_t ni = nis - task % nis;
+            NtGroups(packed[ai], static_cast<unsigned>(ni), untaint)
+                .run(static_cast<unsigned>(nt_hi),
+                     &detected[(ni - 1) * apps + ai], nis * apps);
         },
         jobs);
 

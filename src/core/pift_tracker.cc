@@ -162,6 +162,9 @@ PiftTracker::handleMem(ProcId pid, SeqNum local_seq,
                          provenance::ProvCause::WindowClosed, pid,
                          range.start, range.end, 0, w.ltlt, w.used));
     }
+    // The only read of NT below: every NT above w.used would taint.
+    if (budget_listener_ && in_window && w.used >= cfg.nt)
+        budget_listener_->budgetSpent(*this);
     if (in_window && w.used < cfg.nt) {
         // [Lines 17-19] Taint the target range.
         ++w.used;

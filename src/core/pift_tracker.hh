@@ -113,6 +113,27 @@ struct TrackerState
     uint64_t controls_seen = 0;
 };
 
+class PiftTracker;
+
+/**
+ * Consumer of the one branch of Algorithm 1 that reads NT: an
+ * in-window store that finds its window's budget spent. The grouped
+ * Figure 11 sweep forks its tracker there (DESIGN.md §12).
+ */
+class BudgetListener
+{
+  public:
+    virtual ~BudgetListener() = default;
+
+    /**
+     * Called before @p tracker acts on the store: its cursor already
+     * counts the store, while its windows and taint store are as they
+     * were before it. The listener may read both but must not feed,
+     * restore or reconfigure the tracker.
+     */
+    virtual void budgetSpent(PiftTracker &tracker) = 0;
+};
+
 /** Online implementation of Algorithm 1 over a TaintStore backend. */
 class PiftTracker : public sim::TraceSink
 {
@@ -132,6 +153,11 @@ class PiftTracker : public sim::TraceSink
      */
     PiftTracker(const PiftParams &params, TaintStore &store);
     ~PiftTracker() override;
+
+    // The destructor publishes the batched tallies, so a copy would
+    // publish them twice; carry state across with exportState().
+    PiftTracker(const PiftTracker &) = delete;
+    PiftTracker &operator=(const PiftTracker &) = delete;
 
     void onRecord(const sim::TraceRecord &rec) override;
     void onControl(const sim::ControlEvent &ev) override;
@@ -188,6 +214,15 @@ class PiftTracker : public sim::TraceSink
      * core/journal.hh; the journal is not owned.
      */
     void setJournal(MutationJournal *journal) { journal_ = journal; }
+
+    /**
+     * Install a budget listener (may be null to detach; not owned).
+     * The listener may detach itself from inside budgetSpent().
+     */
+    void setBudgetListener(BudgetListener *listener)
+    {
+        budget_listener_ = listener;
+    }
 
     /**
      * Attach a provenance flight recorder (may be null to detach).
@@ -283,6 +318,7 @@ class PiftTracker : public sim::TraceSink
     uint64_t controls_seen = 0;
     OpObserver observer;
     MutationJournal *journal_ = nullptr;
+    BudgetListener *budget_listener_ = nullptr;
 #if defined(PIFT_PROVENANCE_ENABLED)
     // Guarded so the member itself vanishes in OFF builds: the
     // recorder costs zero bytes in the tracker when compiled out.

@@ -114,7 +114,16 @@ class TaintStore
 class IdealRangeStore : public TaintStore
 {
   public:
+    IdealRangeStore() = default;
     ~IdealRangeStore() override;
+
+    // The destructor publishes the batched tallies, so a copy would
+    // publish them twice; copyRangesFrom() copies the ranges alone.
+    IdealRangeStore(const IdealRangeStore &) = delete;
+    IdealRangeStore &operator=(const IdealRangeStore &) = delete;
+
+    /** Replace this store's ranges with @p other's (no tallies). */
+    void copyRangesFrom(const IdealRangeStore &other) { sets = other.sets; }
 
     bool query(ProcId pid, const taint::AddrRange &r) override;
     bool insert(ProcId pid, const taint::AddrRange &r) override;

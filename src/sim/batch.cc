@@ -179,17 +179,26 @@ void
 replayBatched(const PackedTrace &packed, TraceSink &sink,
               uint32_t batch_records)
 {
+    replayBatchedFrom(packed, sink, 0, 0, batch_records);
+}
+
+void
+replayBatchedFrom(const PackedTrace &packed, TraceSink &sink,
+                  SeqNum records_done, uint64_t controls_done,
+                  uint32_t batch_records)
+{
     const Trace &trace = packed.trace();
     if (batch_records == 0) {
-        replay(trace, sink);
+        replayFrom(trace, sink, records_done, controls_done);
         return;
     }
     telemetry::Span span("sim:replay_batched", "sim");
     const size_t n = trace.records.size();
     const size_t nc = trace.controls.size();
-    size_t ci = 0;
-    size_t ri = 0;
-    uint32_t cursor = 0;
+    size_t ci = static_cast<size_t>(std::min<uint64_t>(controls_done, nc));
+    size_t ri = static_cast<size_t>(std::min<SeqNum>(records_done, n));
+    const size_t first = ri;
+    uint32_t cursor = packed.memCursor(static_cast<uint32_t>(ri));
     // Tally batches/records locally; one registry update per replay
     // keeps the hot loop free of atomics.
     uint64_t nbatches = 0;
@@ -215,7 +224,7 @@ replayBatched(const PackedTrace &packed, TraceSink &sink,
         sink.onControl(trace.controls[ci++]);
     btel().replays.inc();
     btel().batches.inc(nbatches);
-    btel().records_replayed.inc(n);
+    btel().records_replayed.inc(n - first);
 }
 
 void

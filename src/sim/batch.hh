@@ -70,9 +70,10 @@ struct EventBatch
 
 /**
  * A Trace packed once into the SoA layout so repeated replays (the
- * accuracy grids replay each capture hundreds of times) pay the
- * packing pass once instead of per replay. Immutable after
- * construction; safe to share read-only across pool workers.
+ * accuracy grids replay each capture once per NI, and again from
+ * every fork point) pay the packing pass once instead of per replay.
+ * Immutable after construction; safe to share read-only across pool
+ * workers.
  */
 class PackedTrace
 {
@@ -169,6 +170,17 @@ void replayBatched(const Trace &trace, TraceSink &sink,
 /** replayBatched() over a trace packed ahead of time. */
 void replayBatched(const PackedTrace &packed, TraceSink &sink,
                    uint32_t batch_records = default_batch_records);
+
+/**
+ * replayFrom() through the batched pipeline: deliver exactly the
+ * events replayBatched() would deliver after its first @p records_done
+ * records and @p controls_done control events, in the same
+ * interleaving. replayBatchedFrom(packed, sink, 0, 0) is
+ * replayBatched(packed, sink).
+ */
+void replayBatchedFrom(const PackedTrace &packed, TraceSink &sink,
+                       SeqNum records_done, uint64_t controls_done,
+                       uint32_t batch_records = default_batch_records);
 
 } // namespace pift::sim
 
