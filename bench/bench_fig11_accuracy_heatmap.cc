@@ -5,9 +5,10 @@
  * headline points: ~98% (0% FP, one FN) at NI=13/NT=3, 100% at a
  * wide window, and the GPS (float) leak needing NI >= 10.
  *
- * The 200 x 57 replays fan out over the exec pool (per-cell, per-app
- * tasks); `--jobs N` / PIFT_JOBS control the width and every job
- * count prints byte-identical output.
+ * The 200 x 57 verdicts come from one grouped replay per (app, NI)
+ * task on the exec pool (DESIGN.md §12, "Grouped sweep"); `--jobs N`
+ * / PIFT_JOBS control the width and every job count prints
+ * byte-identical output.
  *
  * Run: ./build/bench/bench_fig11_accuracy_heatmap [--jobs N]
  */

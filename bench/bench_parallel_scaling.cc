@@ -1,10 +1,13 @@
 /**
  * @file
  * Parallel-scaling bench for the exec pool: run the Figure 11
- * accuracy grid (20 x 10 cells x full labelled suite, one replay per
- * (cell, app) task) at 1/2/4/8 jobs, check every width reproduces the
- * serial grid exactly, and emit BENCH_parallel.json with events/sec,
- * speedup vs 1 job, and efficiency per width.
+ * accuracy grid (20 x 10 cells x full labelled suite, one grouped
+ * replay per (app, NI) task, DESIGN.md §12) at 1/2/4/8 jobs, check
+ * every width reproduces the serial grid exactly, and emit
+ * BENCH_parallel.json with events/sec, speedup vs 1 job, and
+ * efficiency per width. events/sec counts cells x trace records and
+ * `replays_per_run` the (cell, app) verdicts: the work per-cell
+ * replay would do, so figures compare across the grouping.
  *
  * The report records hardware_jobs so downstream validation can gate
  * speedup expectations on the machine actually having cores: on a

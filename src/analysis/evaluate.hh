@@ -82,10 +82,13 @@ Accuracy evaluateAccuracy(const std::vector<LabelledTrace> &set,
 /**
  * Confusion matrices for every grid cell NI = [1, ni_hi] x
  * NT = [1, nt_hi], row-major by NT then NI (cell (nt, ni) at index
- * (nt-1)*ni_hi + ni-1). The underlying replays are distributed over
- * the exec pool at per-(cell, app) granularity — each replay owns its
- * tracker and store — and reduced in fixed order, so results are
- * identical at every job count (@p jobs; 0 = exec::defaultJobs()).
+ * (nt-1)*ni_hi + ni-1). Each (app, NI) pair is one task on the exec
+ * pool that answers all its NT cells in one grouped replay, forking
+ * only where the NT budget splits them (DESIGN.md §12, "Grouped
+ * sweep"); every cell equals piftDetectsLeak on that cell. Tasks own
+ * their trackers and stores and results are reduced in fixed order,
+ * so they are identical at every job count (@p jobs; 0 =
+ * exec::defaultJobs()).
  */
 std::vector<Accuracy>
 accuracyGrid(const std::vector<LabelledTrace> &set, int ni_hi,
@@ -94,7 +97,7 @@ accuracyGrid(const std::vector<LabelledTrace> &set, int ni_hi,
 /**
  * The Figure 11 sweep: accuracy (%) over NI = [1, ni_hi] x
  * NT = [1, nt_hi]. Rows are NT, columns NI, matching the figure.
- * Parallel per (cell, app); deterministic at every @p jobs.
+ * Runs accuracyGrid(); deterministic at every @p jobs.
  */
 stats::HeatMap accuracySweep(const std::vector<LabelledTrace> &set,
                              int ni_hi = 20, int nt_hi = 10,
@@ -111,8 +114,8 @@ struct WindowBound
 /**
  * Smallest (NI, then NT) in the grid at which the sweep reaches 100%
  * (0 FP, 0 FN) — the Figure 11 optimum the static window derivation
- * is compared against. Parallel per (cell, app); deterministic at
- * every @p jobs.
+ * is compared against. Runs accuracyGrid(); deterministic at every
+ * @p jobs.
  */
 WindowBound windowBoundSearch(const std::vector<LabelledTrace> &set,
                               int ni_hi = 20, int nt_hi = 10,

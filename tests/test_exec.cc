@@ -284,9 +284,11 @@ TEST(JobsOverride, WiderLateOverrideRebuildsGlobalPool)
 
 TEST(ConcurrentSweep, AccuracyGridMatchesSerialAtEveryWidth)
 {
-    // The TSan workhorse: many workers replaying PiftTracker over
-    // IdealRangeStore concurrently, all bumping the telemetry
-    // counters, reduced to a grid that must not depend on scheduling.
+    // Many workers running grouped (app, NI) replays concurrently,
+    // each forking trackers over its own IdealRangeStores and all
+    // bumping the telemetry counters, reduced to a grid that must not
+    // depend on scheduling. test_grouped_sweep runs the same engine
+    // at width 4 against per-cell replay.
     const auto &set = smallSuite();
     auto serial = analysis::accuracyGrid(set, 6, 4, true, 1);
     for (unsigned jobs : {2u, 4u, 8u}) {
