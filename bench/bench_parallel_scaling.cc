@@ -9,6 +9,13 @@
  * `replays_per_run` the (cell, app) verdicts: the work per-cell
  * replay would do, so figures compare across the grouping.
  *
+ * One grid lasts about 10-20 ms, the order of the time idle vCPUs of
+ * a shared VM take to join a batch. So the shared pool is first
+ * warmed at the widest width (no width's timing includes building or
+ * widening it), then grids run back to back, one per width in turn,
+ * until the serial ones add up to kMinTimedMs; each width's wall_ms
+ * is its median grid.
+ *
  * The report records hardware_jobs so downstream validation can gate
  * speedup expectations on the machine actually having cores: on a
  * 1-CPU container every width degenerates to ~1x and only the
@@ -17,8 +24,10 @@
  * Run: ./build/bench/bench_parallel_scaling [--out FILE]
  */
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -32,6 +41,12 @@ namespace
 
 constexpr int kNiHi = 20;
 constexpr int kNtHi = 10;
+constexpr unsigned kWidths[] = {1, 2, 4, 8};
+
+/** The serial grids of a run add up to at least this long... */
+constexpr double kMinTimedMs = 500.0;
+/** ...over at least this many rounds of one grid per width. */
+constexpr size_t kMinRounds = 5;
 
 struct ScalingRun
 {
@@ -63,6 +78,51 @@ sameGrid(const std::vector<analysis::Accuracy> &a,
             a[i].tn != b[i].tn || a[i].fn != b[i].fn)
             return false;
     return true;
+}
+
+/** One width's timing: the median of its grids. */
+struct WidthTiming
+{
+    std::vector<benchx::Timed> grids;
+    bool same = true; //!< every grid equalled the reference
+
+    benchx::Timed
+    median()
+    {
+        auto mid = grids.begin() + grids.size() / 2;
+        std::nth_element(grids.begin(), mid, grids.end(),
+                         [](const benchx::Timed &a,
+                            const benchx::Timed &b) {
+                             return a.wall_ms < b.wall_ms;
+                         });
+        return *mid;
+    }
+};
+
+/**
+ * Time every width over back-to-back grids in rounds of one grid per
+ * width, until the serial grids add up to kMinTimedMs (and at least
+ * kMinRounds rounds ran). Interleaving the widths spreads a change in
+ * the machine's speed over all of them instead of biasing whichever
+ * width ran during it.
+ */
+std::vector<WidthTiming>
+timeWidths(const std::vector<analysis::LabelledTrace> &set,
+           uint64_t events,
+           const std::vector<analysis::Accuracy> &reference)
+{
+    std::vector<WidthTiming> out(std::size(kWidths));
+    double serial_ms = 0.0;
+    while (serial_ms < kMinTimedMs || out[0].grids.size() < kMinRounds) {
+        for (size_t w = 0; w < std::size(kWidths); ++w) {
+            std::vector<analysis::Accuracy> grid;
+            out[w].grids.push_back(
+                timedGrid(set, events, kWidths[w], grid));
+            out[w].same = out[w].same && sameGrid(grid, reference);
+        }
+        serial_ms += out[0].grids.back().wall_ms;
+    }
+    return out;
 }
 
 } // namespace
@@ -98,33 +158,36 @@ main(int argc, char **argv)
     std::printf("hardware: %u job(s) available\n\n",
                 exec::hardwareJobs());
 
-    // Warm-up run: pulls trace capture and allocator state off the
-    // timed path, and seeds the reference grid.
+    // Warm-up runs: the serial one pulls trace capture and allocator
+    // state off the timed path and seeds the reference grid; the
+    // widest one builds the shared pool at its final width.
     std::vector<analysis::Accuracy> reference;
     timedGrid(set, events, 1, reference);
+    std::vector<analysis::Accuracy> warm;
+    timedGrid(set, events, kWidths[std::size(kWidths) - 1], warm);
+    bool deterministic = sameGrid(warm, reference);
 
-    bool deterministic = true;
+    std::vector<WidthTiming> timings = timeWidths(set, events, reference);
     std::vector<ScalingRun> runs;
-    std::printf("%6s %10s %14s %9s %11s %s\n", "jobs", "wall_ms",
-                "events/sec", "speedup", "efficiency", "grid");
-    for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-        std::vector<analysis::Accuracy> grid;
+    std::printf("%6s %10s %14s %9s %11s %6s %s\n", "jobs", "wall_ms",
+                "events/sec", "speedup", "efficiency", "grids", "grid");
+    for (size_t w = 0; w < std::size(kWidths); ++w) {
         ScalingRun run;
-        run.jobs = jobs;
-        benchx::Timed t = timedGrid(set, events, jobs, grid);
+        run.jobs = kWidths[w];
+        benchx::Timed t = timings[w].median();
         run.wall_ms = t.wall_ms;
         run.events_per_sec = t.events_per_sec;
         if (runs.empty())
             run.speedup = 1.0;
         else if (run.wall_ms > 0.0)
             run.speedup = runs.front().wall_ms / run.wall_ms;
-        run.efficiency = run.speedup / jobs;
-        bool same = sameGrid(grid, reference);
-        deterministic = deterministic && same;
-        std::printf("%6u %10.1f %14.0f %8.2fx %10.1f%% %s\n", jobs,
-                    run.wall_ms, run.events_per_sec, run.speedup,
-                    100.0 * run.efficiency,
-                    same ? "identical" : "MISMATCH");
+        run.efficiency = run.speedup / run.jobs;
+        deterministic = deterministic && timings[w].same;
+        std::printf("%6u %10.1f %14.0f %8.2fx %10.1f%% %6zu %s\n",
+                    run.jobs, run.wall_ms, run.events_per_sec,
+                    run.speedup, 100.0 * run.efficiency,
+                    timings[w].grids.size(),
+                    timings[w].same ? "identical" : "MISMATCH");
         runs.push_back(run);
     }
     std::printf("\ndeterminism (every width vs serial grid): %s\n",

@@ -67,20 +67,30 @@ DurableSession::~DurableSession()
 }
 
 Status
+DurableSession::lose(Status s, const char *what)
+{
+    if (healthy_) {
+        tel().io_failures.inc();
+        pift_warn_limited(3,
+                          "durable session: %s; state dir is now "
+                          "stale: %s",
+                          what, s.message().c_str());
+    }
+    healthy_ = false;
+    return s;
+}
+
+Status
 DurableSession::start(uint64_t initial_epoch)
 {
-    if (Status s = ensureDir(opts.dir); !s.ok()) {
-        healthy_ = false;
-        return s;
-    }
+    if (Status s = ensureDir(opts.dir); !s.ok())
+        return lose(s, "cannot create its directory");
     epoch_ = initial_epoch;
     records_since_snapshot = 0;
     if (Status s = wal.open(walPath(opts.dir), epoch_,
                             opts.flush_each);
-        !s.ok()) {
-        healthy_ = false;
-        return s;
-    }
+        !s.ok())
+        return lose(s, "cannot open its WAL");
     return Status();
 }
 
@@ -88,14 +98,7 @@ void
 DurableSession::append(const core::JournalRecord &rec)
 {
     if (Status s = wal.append(rec); !s.ok()) {
-        if (healthy_) {
-            tel().io_failures.inc();
-            pift_warn_limited(3,
-                              "durable session lost its WAL; state "
-                              "dir is now stale: %s",
-                              s.message().c_str());
-        }
-        healthy_ = false;
+        (void)lose(s, "lost its WAL");
         return;
     }
     ++records_logged;
@@ -111,21 +114,19 @@ DurableSession::append(const core::JournalRecord &rec)
 Status
 DurableSession::snapshotNow()
 {
+    // Commit the WAL's buffered tail first, so the old snapshot/WAL
+    // pair is complete if the snapshot write below fails or crashes.
+    if (Status s = flush(); !s.ok())
+        return s;
+
     SnapshotData data;
     data.epoch = epoch_ + 1;
     data.storage = storage.exportState();
     data.tracker = tracker.exportState();
 
     if (Status s = writeSnapshotFile(snapshotPath(opts.dir), data);
-        !s.ok()) {
-        if (healthy_) {
-            tel().io_failures.inc();
-            pift_warn_limited(3, "snapshot write failed: %s",
-                              s.message().c_str());
-        }
-        healthy_ = false;
-        return s;
-    }
+        !s.ok())
+        return lose(s, "snapshot write failed");
     ++epoch_;
     ++snapshots_taken;
     tel().snapshots.inc();
@@ -141,15 +142,8 @@ DurableSession::snapshotNow()
     // (stale) rotation-crash case.
     if (Status s = wal.open(walPath(opts.dir), epoch_,
                             opts.flush_each);
-        !s.ok()) {
-        if (healthy_) {
-            tel().io_failures.inc();
-            pift_warn_limited(3, "WAL rotation failed: %s",
-                              s.message().c_str());
-        }
-        healthy_ = false;
-        return s;
-    }
+        !s.ok())
+        return lose(s, "WAL rotation failed");
     PIFT_PROV(recorder_,
               recordGlobal(provenance::ProvKind::WalEpoch,
                            provenance::ProvCause::None,
@@ -160,13 +154,17 @@ DurableSession::snapshotNow()
 Status
 DurableSession::flush()
 {
-    return wal.flush();
+    if (Status s = wal.flush(); !s.ok())
+        return lose(s, "WAL commit failed");
+    return Status();
 }
 
 Status
 DurableSession::close()
 {
-    return wal.close();
+    if (Status s = wal.close(); !s.ok())
+        return lose(s, "WAL close failed");
+    return Status();
 }
 
 } // namespace pift::persist

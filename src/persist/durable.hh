@@ -19,10 +19,18 @@
  * snapshot cannot occur through any crash and is treated as
  * corruption.
  *
+ * The WAL group-commits (wal.hh): records collect in its buffer and
+ * reach the file at flush(), close(), every snapshot, a full buffer,
+ * or every record with flush_each. The service flushes once per
+ * drained batch (DESIGN.md §14).
+ *
  * I/O failures are sticky: the session keeps the live run going but
- * healthy() turns false, and the caller must treat the directory as
- * stale (recovery from it would silently miss the tail — exactly
- * what noteStateLoss() exists for).
+ * healthy() turns false, the failure counts in
+ * `persist.io_failures_total` with a rate-limited warning, and the
+ * caller must treat the directory as stale (recovery from it would
+ * silently miss the tail — exactly what noteStateLoss() exists for).
+ * Every failing call — start, append, flush, close, snapshot or
+ * rotation — takes that one path.
  */
 
 #ifndef PIFT_PERSIST_DURABLE_HH
@@ -62,8 +70,9 @@ struct DurableOptions
 
     /**
      * Flush the WAL after every record. Maximum durability (a crash
-     * loses at most the torn final frame); benches turn it off to
-     * measure framing cost separately from flush cost.
+     * loses at most the torn final frame). Off, records wait in the
+     * WAL's commit buffer (at most wal_commit_bytes) for flush(),
+     * close() or the next snapshot.
      */
     bool flush_each = true;
 };
@@ -94,14 +103,17 @@ class DurableSession : public core::MutationJournal
     void append(const core::JournalRecord &rec) override;
 
     /**
-     * Export the current storage + tracker state, publish it
-     * atomically as snapshot epoch()+1, then rotate the WAL to the
-     * new epoch. On failure the previous snapshot/WAL pair remains
-     * the recovery point and healthy() turns false.
+     * Flush the WAL, export the current storage + tracker state,
+     * publish it atomically as snapshot epoch()+1, then rotate the
+     * WAL to the new epoch. On failure the previous snapshot/WAL pair
+     * remains the recovery point and healthy() turns false.
      */
     Status snapshotNow();
 
-    /** Flush the WAL (no-op with flush_each). */
+    /**
+     * Commit the WAL's buffered records to the file in one write
+     * (no-op when nothing is buffered, as always with flush_each).
+     */
     Status flush();
 
     /** Flush and close the WAL; the directory stays recoverable. */
@@ -139,6 +151,9 @@ class DurableSession : public core::MutationJournal
     }
 
   private:
+    /** The one failure path: sticky unhealthy, counted, warned. */
+    Status lose(Status s, const char *what);
+
     core::TaintStorage &storage;
     core::PiftTracker &tracker;
     DurableOptions opts;

@@ -1,28 +1,61 @@
 #include "persist/wal.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "persist/wire.hh"
 
 namespace pift::persist
 {
 
-std::string
-encodeJournalRecord(const core::JournalRecord &rec)
+namespace
 {
-    ByteWriter w;
-    w.put8(static_cast<uint8_t>(rec.kind));
-    w.put8(static_cast<uint8_t>(rec.verdict));
-    w.put32(rec.pid);
-    w.put32(rec.start);
-    w.put32(rec.end);
-    w.put32(rec.id);
-    w.put64(rec.ltlt);
-    w.put32(rec.used);
-    w.put64(rec.records_seen);
-    w.put64(rec.controls_seen);
-    return w.takeBytes();
+
+// Little-endian stores at a cursor, the ByteWriter layout without a
+// growable buffer behind it.
+uint8_t *
+le8(uint8_t *p, uint8_t v)
+{
+    *p = v;
+    return p + 1;
+}
+
+uint8_t *
+le32(uint8_t *p, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+    return p + 4;
+}
+
+uint8_t *
+le64(uint8_t *p, uint64_t v)
+{
+    return le32(le32(p, static_cast<uint32_t>(v)),
+                static_cast<uint32_t>(v >> 32));
+}
+
+} // anonymous namespace
+
+void
+encodeWalFrame(const core::JournalRecord &rec, uint8_t *out)
+{
+    uint8_t *payload = out + 8;
+    uint8_t *p = le8(payload, static_cast<uint8_t>(rec.kind));
+    p = le8(p, static_cast<uint8_t>(rec.verdict));
+    p = le32(p, rec.pid);
+    p = le32(p, rec.start);
+    p = le32(p, rec.end);
+    p = le32(p, rec.id);
+    p = le64(p, rec.ltlt);
+    p = le32(p, rec.used);
+    p = le64(p, rec.records_seen);
+    le64(p, rec.controls_seen);
+    le32(le32(out, static_cast<uint32_t>(wal_payload_bytes)),
+         crc32(payload, wal_payload_bytes));
 }
 
 Expected<core::JournalRecord>
@@ -59,27 +92,45 @@ WalWriter::~WalWriter()
 Status
 WalWriter::fail(const std::string &why)
 {
+    const int err = errno;
     broken = true;
-    if (file) {
-        std::fclose(file);
-        file = nullptr;
+    buf.clear();
+    if (fd >= 0) {
+        ::close(fd);
+        fd = -1;
     }
     return Status::error("wal " + path_ + ": " + why + ": " +
-                         std::strerror(errno));
+                         std::strerror(err));
+}
+
+bool
+WalWriter::writeAll(const char *data, size_t len)
+{
+    while (len) {
+        ssize_t n = ::write(fd, data, len);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        data += n;
+        len -= static_cast<size_t>(n);
+    }
+    return true;
 }
 
 Status
 WalWriter::open(const std::string &path, uint64_t epoch,
                 bool flush_each_)
 {
-    close();
+    if (Status s = close(); !s.ok())
+        return s;
     path_ = path;
     flush_each = flush_each_;
     broken = false;
-    records = 0;
-    bytes = 0;
-    file = std::fopen(path.c_str(), "wb");
-    if (!file)
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                0666);
+    if (fd < 0)
         return fail("cannot create");
 
     ByteWriter w;
@@ -89,10 +140,8 @@ WalWriter::open(const std::string &path, uint64_t epoch,
     w.put64(epoch);
     w.put32(crc32(w.bytes().data(), w.size()));
     const std::string &hdr = w.bytes();
-    if (std::fwrite(hdr.data(), 1, hdr.size(), file) != hdr.size() ||
-        std::fflush(file) != 0)
+    if (!writeAll(hdr.data(), hdr.size()))
         return fail("header write failed");
-    bytes += hdr.size();
     return Status();
 }
 
@@ -101,48 +150,48 @@ WalWriter::append(const core::JournalRecord &rec)
 {
     if (broken)
         return Status::error("wal " + path_ + ": writer is broken");
-    if (!file)
+    if (fd < 0)
         return Status::error("wal: append before open");
 
-    std::string payload = encodeJournalRecord(rec);
-    ByteWriter frame;
-    frame.put32(static_cast<uint32_t>(payload.size()));
-    frame.put32(crc32(payload.data(), payload.size()));
-    const std::string &hdr = frame.bytes();
-    if (std::fwrite(hdr.data(), 1, hdr.size(), file) != hdr.size() ||
-        std::fwrite(payload.data(), 1, payload.size(), file) !=
-            payload.size())
-        return fail("append failed");
-    if (flush_each && std::fflush(file) != 0)
-        return fail("flush failed");
-    ++records;
-    bytes += hdr.size() + payload.size();
-    return Status();
+    if (buf.size() + wal_frame_bytes > wal_commit_bytes)
+        if (Status s = flush(); !s.ok())
+            return s;
+    // Grow by doubling up to the cap, never past it: a writer holds at
+    // most wal_commit_bytes however large its batches get.
+    if (buf.size() + wal_frame_bytes > buf.capacity())
+        buf.reserve(std::min(wal_commit_bytes,
+                             std::max<size_t>(4096, 2 * buf.capacity())));
+    uint8_t frame[wal_frame_bytes];
+    encodeWalFrame(rec, frame);
+    buf.append(reinterpret_cast<const char *>(frame), wal_frame_bytes);
+    return flush_each ? flush() : Status();
 }
 
 Status
 WalWriter::flush()
 {
-    if (broken || !file)
+    if (broken || fd < 0 || buf.empty())
         return Status();
-    if (std::fflush(file) != 0)
-        return fail("flush failed");
+    if (!writeAll(buf.data(), buf.size()))
+        return fail("commit failed");
+    buf.clear();
     return Status();
 }
 
 Status
 WalWriter::close()
 {
-    if (!file)
+    if (fd < 0)
         return Status();
-    bool bad = std::fflush(file) != 0;
-    if (std::fclose(file) != 0)
-        bad = true;
-    file = nullptr;
-    if (bad) {
+    if (Status s = flush(); !s.ok())
+        return s;
+    const int rc = ::close(fd);
+    const int err = errno;
+    fd = -1;
+    if (rc != 0) {
         broken = true;
         return Status::error("wal " + path_ + ": close failed: " +
-                             std::strerror(errno));
+                             std::strerror(err));
     }
     return Status();
 }

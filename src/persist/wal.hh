@@ -5,20 +5,21 @@
  * Layout: a 20-byte header {magic "PWAL", version, epoch, header
  * CRC-32}, followed by length-prefixed record frames {u32 payload
  * length, u32 payload CRC-32, payload}. Each payload is one encoded
- * core::JournalRecord. Appends are sequential, so a crash tears at
- * most the final frame; the reader is tolerant by construction —
- * it accepts the longest valid prefix and reports where and why it
- * stopped, because a torn tail is the *expected* crash outcome, not
- * an error. A corrupt header, by contrast, invalidates the whole
- * file: without a trusted epoch the log cannot be paired with a
- * snapshot.
+ * core::JournalRecord. The writer group-commits: frames collect in a
+ * buffer that reaches the file in one write per flush() (at most
+ * wal_commit_bytes at a time). Appends are sequential, so a crash
+ * tears at most the final frame; the reader is tolerant by
+ * construction — it accepts the longest valid prefix and reports
+ * where and why it stopped, because a torn tail is the *expected*
+ * crash outcome, not an error. A corrupt header, by contrast,
+ * invalidates the whole file: without a trusted epoch the log cannot
+ * be paired with a snapshot.
  */
 
 #ifndef PIFT_PERSIST_WAL_HH
 #define PIFT_PERSIST_WAL_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -43,17 +44,29 @@ inline constexpr size_t wal_payload_bytes = 46;
 /** Bytes one framed record occupies (frame header + payload). */
 inline constexpr size_t wal_frame_bytes = 8 + wal_payload_bytes;
 
-/** Encode one record payload (without framing). */
-std::string encodeJournalRecord(const core::JournalRecord &rec);
+/**
+ * Buffered frame bytes at which a WalWriter commits on its own, so a
+ * writer nobody flushes never holds an unbounded tail (DESIGN.md §11).
+ */
+inline constexpr size_t wal_commit_bytes = 64 * 1024;
+
+/**
+ * Encode one framed record (frame header + payload) into the
+ * wal_frame_bytes bytes at @p out.
+ */
+void encodeWalFrame(const core::JournalRecord &rec, uint8_t *out);
 
 /** Decode one record payload; fails on short input or bad enums. */
 Expected<core::JournalRecord>
 decodeJournalRecord(const std::string &payload);
 
 /**
- * Append-only WAL file writer. All failures are sticky: after the
- * first failed write the writer drops further appends and healthy()
- * stays false, so one bad disk never half-writes interleaved frames.
+ * Append-only WAL file writer with a commit buffer. append() encodes
+ * each frame into the buffer; flush() hands the buffer to the file in
+ * one write(), as does an append that would take it past
+ * wal_commit_bytes. All failures are sticky: after the first failed
+ * write the writer drops further appends and healthy() stays false,
+ * so one bad disk never half-writes interleaved frames.
  */
 class WalWriter
 {
@@ -65,7 +78,9 @@ class WalWriter
     WalWriter &operator=(const WalWriter &) = delete;
 
     /**
-     * Create (truncate) the WAL at @p path and write its header.
+     * Create (truncate) the WAL at @p path and write its header,
+     * after closing a previously open file (a failure there is
+     * returned and leaves the writer broken).
      * @param epoch the snapshot epoch this log extends
      * @param flush_each flush after every append (durability per
      *        record) instead of only on flush()/close()
@@ -73,35 +88,27 @@ class WalWriter
     Status open(const std::string &path, uint64_t epoch,
                 bool flush_each);
 
-    /** Frame and append one record. No-op when not healthy. */
+    /** Frame and buffer one record. No-op when not healthy. */
     Status append(const core::JournalRecord &rec);
 
-    /** Push buffered frames to the OS. */
+    /** Commit the buffered frames to the file in one write. */
     Status flush();
 
     /** Flush and close. Safe to call twice. */
     Status close();
 
-    bool isOpen() const { return file != nullptr; }
-
     /** False after any I/O failure (sticky). */
     bool healthy() const { return !broken; }
 
-    /** Records appended since open(). */
-    uint64_t recordsWritten() const { return records; }
-
-    /** File bytes written since open() (header included). */
-    uint64_t bytesWritten() const { return bytes; }
-
   private:
     Status fail(const std::string &why);
+    bool writeAll(const char *data, size_t len);
 
-    std::FILE *file = nullptr;
+    int fd = -1;
     std::string path_;
+    std::string buf; //!< frames not yet committed to the file
     bool flush_each = false;
     bool broken = false;
-    uint64_t records = 0;
-    uint64_t bytes = 0;
 };
 
 /** Outcome of a tolerant WAL read. */

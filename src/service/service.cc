@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "exec/thread_pool.hh"
 #include "support/logging.hh"
@@ -89,8 +90,10 @@ struct TrackingService::Shard
     mutable std::mutex m;
     std::condition_variable cv; //!< threaded mode: work or stop
 
+    using SessionMap = std::map<ProcId, std::unique_ptr<Session>>;
+
     std::deque<Queued> queue;
-    std::map<ProcId, std::unique_ptr<Session>> sessions; //!< asc pid
+    SessionMap sessions; //!< asc pid
     std::set<ProcId> tombstones; //!< shed pids: re-admit = state loss
 
     /**
@@ -103,6 +106,32 @@ struct TrackingService::Shard
      * purpose: the ordering outlives any one session incarnation.
      */
     std::map<ProcId, uint64_t> loss_ticks;
+
+    /**
+     * Durable sessions holding journal records since the last group
+     * commit (DESIGN.md §14), by pid. drainLocked commits them after
+     * every non-empty batch.
+     */
+    std::vector<ProcId> uncommitted;
+
+    /** Note that @p ses may have journaled records (commit list). */
+    void
+    journaled(Session &ses)
+    {
+        if (ses.queueCommit())
+            uncommitted.push_back(ses.pid());
+    }
+
+    /**
+     * Erase one session. Its destructor closes its journal, which
+     * commits the buffered tail, so it leaves the commit list too.
+     */
+    SessionMap::iterator
+    eraseSession(SessionMap::iterator it)
+    {
+        std::erase(uncommitted, it->first);
+        return sessions.erase(it);
+    }
 
     // Tallies, guarded by m; stats() sums them across shards.
     uint64_t submitted = 0;
@@ -159,6 +188,8 @@ TrackingService::sessionLocked(Shard &sh, ProcId pid)
     auto ses = std::make_unique<Session>(pid, cfg_.session, lost);
     Session &ref = *ses;
     sh.sessions.emplace(pid, std::move(ses));
+    if (lost)
+        sh.journaled(ref); // its StateLoss record
     ++sh.attached;
     tel().attached.inc();
     sh.g_sessions.set(sh.sessions.size());
@@ -187,7 +218,7 @@ TrackingService::detach(ProcId pid)
     auto it = sh.sessions.find(pid);
     if (it == sh.sessions.end())
         return false;
-    sh.sessions.erase(it);
+    sh.eraseSession(it);
     // Process exit: any pending loss ordering died with the
     // incarnation (the queue was just drained above).
     sh.loss_ticks.erase(pid);
@@ -241,6 +272,7 @@ TrackingService::submitMany(const ServiceEvent *evs, size_t n)
                         lt = tick;
                     Session &ses = sessionLocked(sh, evs[i].pid);
                     ses.noteStreamLoss();
+                    sh.journaled(ses);
                     ses.touch(tick);
                     ++sh.loss_marks;
                     tel().loss_marks.inc();
@@ -285,6 +317,7 @@ TrackingService::drainLocked(Shard &sh)
         sh.queue.pop_front();
         Session &ses = sessionLocked(sh, q.ev.pid);
         ses.apply(q.ev);
+        sh.journaled(ses);
         if (q.ev.kind == EventKind::Clear) {
             // The ClearAll just wiped the tracker's loss marks. An
             // overflow from *after* this Clear was queued dropped an
@@ -306,6 +339,16 @@ TrackingService::drainLocked(Shard &sh)
         ++sh.drained;
     }
     if (batch) {
+        // Group commit: each durable session that received records in
+        // this batch, or journaled one outside a drain since the last
+        // (a sink check, a refused event's loss mark, a re-admission),
+        // hands its WAL buffer to the file in one write. An empty
+        // drain (a sink check's pre-drain on a drained shard) commits
+        // nothing, so the check never pays for a write().
+        for (ProcId pid : sh.uncommitted)
+            if (auto it = sh.sessions.find(pid); it != sh.sessions.end())
+                it->second->commitJournal();
+        sh.uncommitted.clear();
         sh.c_drained.inc(batch);
         tel().drained.inc(batch);
         sh.g_depth.set(0);
@@ -350,7 +393,7 @@ TrackingService::maintain()
                 }
                 if (ses.storageBytes() != 0 || ses.degraded())
                     sh.tombstones.insert(it->first);
-                it = sh.sessions.erase(it);
+                it = sh.eraseSession(it);
                 ++sh.expired;
                 tel().expired.inc();
             }
@@ -399,7 +442,7 @@ TrackingService::maintain()
         if (it == sh.sessions.end())
             continue;
         sh.tombstones.insert(v.pid);
-        sh.sessions.erase(it);
+        sh.eraseSession(it);
         total -= v.bytes;
         ++sh.evicted;
         tel().evicted.inc();
@@ -421,6 +464,8 @@ TrackingService::checkSinkNow(ProcId pid, Addr start, Addr end,
         drainLocked(sh);
         Session &ses = sessionLocked(sh, pid);
         v = ses.checkSink(taint::AddrRange(start, end), id);
+        // The check's journal record waits for the next drain.
+        sh.journaled(ses);
         ses.touch(clock_.fetch_add(1, std::memory_order_relaxed) + 1);
     }
     auto dt = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -484,7 +529,10 @@ TrackingService::runWorkers(exec::ThreadPool &pool)
             "service: pool narrower than shard count (%u < %zu); "
             "workers multiplex shards with timed waits",
             pool.threads(), shards_.size());
-    stopping_.store(false, std::memory_order_release);
+    // stopping_ is not cleared here: a stop() that lands before this
+    // call (the caller starts runWorkers on a thread of its own) must
+    // still end this run, or its workers would wait forever. It is
+    // cleared when the run it ended returns.
     nworkers_.store(nworkers, std::memory_order_release);
     threaded_.store(true, std::memory_order_release);
     pool.forEach(nworkers, [this, nworkers](size_t i) {
@@ -579,6 +627,7 @@ TrackingService::sessions() const
             info.last_active = kv.second->lastActive();
             info.events = kv.second->eventsApplied();
             info.degraded = kv.second->degraded();
+            info.durable_healthy = kv.second->durableHealthy();
             out.push_back(info);
         }
     }

@@ -119,6 +119,7 @@ struct SessionInfo
     uint64_t last_active = 0;
     uint64_t events = 0;
     bool degraded = false;
+    bool durable_healthy = true; //!< false after a durable I/O failure
 };
 
 /**
@@ -195,7 +196,11 @@ class TrackingService
      */
     void runWorkers(exec::ThreadPool &pool);
 
-    /** Quiesce threaded mode: drain what is queued, release workers. */
+    /**
+     * Quiesce threaded mode: drain what is queued, release workers.
+     * Ends the current run of runWorkers(), or the next one when
+     * none has started yet (that run then drains once and returns).
+     */
     void stop();
 
     PidState pidState(ProcId pid) const;

@@ -1,7 +1,5 @@
 #include "service/session.hh"
 
-#include "support/logging.hh"
-
 namespace pift::service
 {
 
@@ -22,14 +20,12 @@ Session::Session(ProcId pid, const SessionConfig &cfg, bool state_lost)
         persist::DurableOptions opts;
         opts.dir = cfg.durable_dir + "/pid_" + std::to_string(pid);
         opts.snapshot_every = cfg.snapshot_every;
-        opts.flush_each = false; // the service flushes on detach
+        // Group commit: the shard commits once per drained batch.
+        opts.flush_each = false;
         durable_ = std::make_unique<persist::DurableSession>(
             storage_, tracker_, opts);
-        Status st = durable_->start();
-        if (!st.ok())
-            pift_warn_limited(4, "service: durable start for pid %u "
-                              "failed: %s", pid, st.message().c_str());
-        else
+        // A failed start is counted and warned by the session itself.
+        if (durable_->start().ok())
             tracker_.setJournal(durable_.get());
     }
     // A session re-admitted after eviction (or a lossy expiry) starts
@@ -43,7 +39,9 @@ Session::~Session()
 {
     if (durable_) {
         tracker_.setJournal(nullptr);
-        durable_->close();
+        // Commits the buffered tail; a failure takes the journal's
+        // own failure path.
+        (void)durable_->close();
     }
 }
 
@@ -108,6 +106,14 @@ bool
 Session::durableHealthy() const
 {
     return !durable_ || durable_->healthy();
+}
+
+void
+Session::commitJournal()
+{
+    commit_queued_ = false;
+    if (durable_)
+        (void)durable_->flush();
 }
 
 } // namespace pift::service

@@ -78,7 +78,9 @@ struct SessionConfig
     /**
      * When non-empty, each session journals into
      * `<durable_dir>/pid_<pid>` through a persist::DurableSession
-     * (snapshot + WAL, crash-recoverable).
+     * (snapshot + WAL, crash-recoverable), group-committed once per
+     * drained batch (DESIGN.md §14). The service does not recover
+     * from it on restart yet (ROADMAP item 1).
      */
     std::string durable_dir;
     uint64_t snapshot_every = 0; //!< WAL rotation cadence (0 = never)
@@ -138,6 +140,29 @@ class Session
     /** False when the durable journal hit an I/O failure. */
     bool durableHealthy() const;
 
+    /**
+     * Group commit (DESIGN.md §14). Marks the durable journal as
+     * holding records for the next commit. @return true the first
+     * time since the last commitJournal(), when the shard must list
+     * the session for its next drain; always false without a durable
+     * journal.
+     */
+    bool
+    queueCommit()
+    {
+        if (!durable_ || commit_queued_)
+            return false;
+        commit_queued_ = true;
+        return true;
+    }
+
+    /**
+     * Hand the journal's buffered records to the WAL file in one
+     * write. A failure marks the journal unhealthy; the session keeps
+     * answering.
+     */
+    void commitJournal();
+
   private:
     ProcId pid_;
     core::TaintStorage storage_;
@@ -147,6 +172,7 @@ class Session
     uint64_t last_active_ = 0;
     uint64_t events_ = 0;
     SeqNum records_fed_ = 0; //!< synthetic global seq for the tracker
+    bool commit_queued_ = false; //!< listed for the shard's next commit
 };
 
 } // namespace pift::service

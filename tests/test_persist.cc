@@ -2,14 +2,18 @@
  * @file
  * Unit tests for the persistence layer: wire primitives, snapshot
  * round-trips and corruption detection, WAL framing and torn-tail
- * tolerance, the DurableSession cadence/rotation machinery, and the
+ * tolerance, the WAL's frame encoder and commit buffer, the
+ * DurableSession cadence/rotation machinery and failure path, and the
  * state export/restore hooks it all rests on.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <random>
+#include <sys/resource.h>
 
 #include "core/pift_tracker.hh"
 #include "core/taint_storage.hh"
@@ -19,6 +23,8 @@
 #include "persist/wal.hh"
 #include "persist/wire.hh"
 #include "sim/trace.hh"
+#include "support/logging.hh"
+#include "telemetry/registry.hh"
 
 using namespace pift;
 
@@ -331,8 +337,10 @@ TEST(Wal, RecordCodecRoundTrip)
     rec.records_seen = 777;
     rec.controls_seen = 13;
 
-    std::string payload = persist::encodeJournalRecord(rec);
-    EXPECT_EQ(payload.size(), persist::wal_payload_bytes);
+    uint8_t frame[persist::wal_frame_bytes];
+    persist::encodeWalFrame(rec, frame);
+    std::string payload(reinterpret_cast<const char *>(frame) + 8,
+                        persist::wal_payload_bytes);
     auto back = persist::decodeJournalRecord(payload);
     ASSERT_TRUE(back.ok()) << back.message();
     const auto &b = back.value();
@@ -375,6 +383,104 @@ TEST(Wal, WriteReadRoundTrip)
     for (uint32_t i = 0; i < 20; ++i) {
         EXPECT_EQ(r.records[i].pid, i);
         EXPECT_EQ(r.records[i].records_seen, i * 3);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Wal, FrameEncoderMatchesByteWriterReference)
+{
+    // The version-1 frame, built field by field with ByteWriter: the
+    // encoding the fixed-size encoder must reproduce byte for byte.
+    auto reference = [](const core::JournalRecord &rec) {
+        persist::ByteWriter payload;
+        payload.put8(static_cast<uint8_t>(rec.kind));
+        payload.put8(static_cast<uint8_t>(rec.verdict));
+        payload.put32(rec.pid);
+        payload.put32(rec.start);
+        payload.put32(rec.end);
+        payload.put32(rec.id);
+        payload.put64(rec.ltlt);
+        payload.put32(rec.used);
+        payload.put64(rec.records_seen);
+        payload.put64(rec.controls_seen);
+        persist::ByteWriter frame;
+        frame.put32(static_cast<uint32_t>(payload.size()));
+        frame.put32(persist::crc32(payload.bytes().data(),
+                                   payload.size()));
+        return frame.bytes() + payload.bytes();
+    };
+
+    // Every kind and verdict at zero, all-ones and a mixed pattern,
+    // then seeded random records, enough to pass the commit cap.
+    std::vector<core::JournalRecord> recs;
+    for (uint64_t pattern :
+         {0ull, ~0ull, 0x0123456789abcdefull, 0x8000000000000001ull})
+        for (unsigned k = 0; k < core::journal_kind_count; ++k)
+            for (unsigned v = 0; v < 3; ++v) {
+                core::JournalRecord rec;
+                rec.kind = static_cast<core::JournalKind>(k);
+                rec.verdict = static_cast<core::SinkVerdict>(v);
+                rec.pid = static_cast<uint32_t>(pattern);
+                rec.start = static_cast<uint32_t>(pattern >> 8);
+                rec.end = static_cast<uint32_t>(pattern >> 32);
+                rec.id = static_cast<uint32_t>(pattern >> 16);
+                rec.ltlt = pattern;
+                rec.used = static_cast<uint32_t>(pattern >> 24);
+                rec.records_seen = ~pattern;
+                rec.controls_seen = pattern ^ 0xffffull;
+                recs.push_back(rec);
+            }
+    std::mt19937_64 rng(7);
+    while (recs.size() <
+           3 * persist::wal_commit_bytes / persist::wal_frame_bytes) {
+        core::JournalRecord rec;
+        rec.kind = static_cast<core::JournalKind>(
+            rng() % core::journal_kind_count);
+        rec.verdict = static_cast<core::SinkVerdict>(rng() % 3);
+        rec.pid = static_cast<uint32_t>(rng());
+        rec.start = static_cast<uint32_t>(rng());
+        rec.end = static_cast<uint32_t>(rng());
+        rec.id = static_cast<uint32_t>(rng());
+        rec.ltlt = rng();
+        rec.used = static_cast<uint32_t>(rng());
+        rec.records_seen = rng();
+        rec.controls_seen = rng();
+        recs.push_back(rec);
+    }
+
+    std::string frames;
+    for (const auto &rec : recs) {
+        const std::string want = reference(rec);
+        ASSERT_EQ(want.size(), persist::wal_frame_bytes);
+        uint8_t got[persist::wal_frame_bytes];
+        persist::encodeWalFrame(rec, got);
+        EXPECT_EQ(std::string(reinterpret_cast<const char *>(got),
+                              sizeof(got)),
+                  want);
+        frames += want;
+    }
+
+    // The writer's file is the header followed by exactly those
+    // frames, buffered or flushed per record.
+    persist::ByteWriter hdr;
+    hdr.put32(persist::wal_magic);
+    hdr.put16(persist::wal_version);
+    hdr.put16(0);
+    hdr.put64(11);
+    hdr.put32(persist::crc32(hdr.bytes().data(), hdr.size()));
+    const std::string path =
+        ::testing::TempDir() + "/pift_wal_encoder.pift";
+    for (bool flush_each : {false, true}) {
+        persist::WalWriter w;
+        ASSERT_TRUE(w.open(path, 11, flush_each).ok());
+        for (const auto &rec : recs)
+            ASSERT_TRUE(w.append(rec).ok());
+        ASSERT_TRUE(w.close().ok());
+        std::string bytes;
+        ASSERT_TRUE(persist::readFileBytes(path, bytes).ok());
+        EXPECT_TRUE(bytes == hdr.bytes() + frames)
+            << "flush_each " << flush_each << ": " << bytes.size()
+            << " bytes";
     }
     std::remove(path.c_str());
 }
@@ -526,6 +632,102 @@ TEST(Durable, JournalMatchesLiveRun)
         EXPECT_EQ(rec.state.tracker.sinks[i].sink_id,
                   live.sinks[i].sink_id) << i;
     }
+}
+
+TEST(Durable, CommitBufferNeverPassesItsCap)
+{
+    // Without flush_each and without a snapshot cadence nobody
+    // flushes the session, yet the bytes not yet in the file never
+    // exceed wal_commit_bytes: the WAL commits on its own when full.
+    std::string dir = ::testing::TempDir() + "/pift_durable_cap";
+    std::filesystem::remove_all(dir);
+    core::TaintStorage storage(smallStorage());
+    core::PiftTracker tracker(core::PiftParams{}, storage);
+    persist::DurableSession session(storage, tracker, {dir, 0, false});
+    ASSERT_TRUE(session.start().ok());
+    const std::string wal = persist::walPath(dir);
+
+    const uint64_t n =
+        3 * persist::wal_commit_bytes / persist::wal_frame_bytes;
+    uint64_t most = 0, commits = 0;
+    uint64_t on_disk = persist::wal_header_bytes;
+    for (uint64_t i = 0; i < n; ++i) {
+        core::JournalRecord rec;
+        rec.kind = core::JournalKind::StoreTaint;
+        rec.pid = 1;
+        rec.records_seen = i;
+        session.append(rec);
+        const uint64_t size = std::filesystem::file_size(wal);
+        const uint64_t logged = persist::wal_header_bytes +
+            (i + 1) * persist::wal_frame_bytes;
+        ASSERT_LE(size, logged);
+        EXPECT_LE(logged - size, persist::wal_commit_bytes) << i;
+        most = std::max(most, logged - size);
+        if (size != on_disk)
+            ++commits;
+        on_disk = size;
+    }
+    EXPECT_TRUE(session.healthy());
+    EXPECT_GT(most, persist::wal_commit_bytes - persist::wal_frame_bytes);
+    EXPECT_GE(commits, 2u);
+    ASSERT_TRUE(session.close().ok());
+    EXPECT_EQ(std::filesystem::file_size(wal),
+              persist::wal_header_bytes + n * persist::wal_frame_bytes);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Durable, FailedCloseIsStickyCountedAndWarned)
+{
+    // A close() that cannot commit the buffered tail takes the same
+    // path as a failed append: healthy() turns false for good, one
+    // persist.io_failures_total, one (rate-limited) warning. The
+    // failure is made in this process by capping its file size at
+    // the WAL's header, with SIGXFSZ ignored (the write gets EFBIG).
+    std::string dir = ::testing::TempDir() + "/pift_durable_failclose";
+    std::filesystem::remove_all(dir);
+    core::TaintStorage storage(smallStorage());
+    core::PiftTracker tracker(core::PiftParams{}, storage);
+    persist::DurableSession session(storage, tracker, {dir, 0, false});
+    ASSERT_TRUE(session.start().ok());
+    for (uint32_t i = 0; i < 10; ++i) {
+        core::JournalRecord rec;
+        rec.pid = i + 1;
+        session.append(rec);
+    }
+    ASSERT_TRUE(session.healthy());
+
+    auto &failures = telemetry::counter("persist.io_failures_total");
+    const uint64_t failures_before = failures.value();
+    const uint64_t warns_before = warnCount();
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved;
+    capped.rlim_cur = persist::wal_header_bytes;
+    const bool limited = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+    Status closed = limited ? session.close() : Status();
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, saved_handler);
+    ASSERT_TRUE(limited);
+
+    EXPECT_FALSE(closed.ok());
+    EXPECT_FALSE(session.healthy());
+    EXPECT_EQ(warnCount(), warns_before + 1);
+    if (telemetry::compiledIn()) {
+        EXPECT_EQ(failures.value(), failures_before + 1);
+    }
+    // Sticky: nothing later retries or counts again.
+    core::JournalRecord rec;
+    session.append(rec);
+    EXPECT_TRUE(session.flush().ok());
+    EXPECT_TRUE(session.close().ok());
+    EXPECT_FALSE(session.healthy());
+    if (telemetry::compiledIn()) {
+        EXPECT_EQ(failures.value(), failures_before + 1);
+    }
+    EXPECT_EQ(std::filesystem::file_size(persist::walPath(dir)),
+              persist::wal_header_bytes);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Durable, CadenceSnapshotsAndRotation)

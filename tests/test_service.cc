@@ -4,9 +4,9 @@
  * session lifecycle, the service-vs-serial verdict differential,
  * backpressure degradation (never a silent drop), byte-ceiling
  * eviction and idle expiry (tombstones force MaybeTainted on
- * re-admission), per-session durability, and a ThreadSanitizer-
- * targeted stress of concurrent attach/ingest/detach/expire on a
- * shared PID set.
+ * re-admission), per-session durability and its group commit, and
+ * ThreadSanitizer-targeted stresses of concurrent attach/ingest/
+ * detach/expire on a shared PID set.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <filesystem>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <vector>
 
@@ -23,11 +26,15 @@
 #include "core/taint_storage.hh"
 #include "droidbench/app.hh"
 #include "exec/thread_pool.hh"
+#include "persist/durable.hh"
+#include "persist/recovery.hh"
+#include "persist/wal.hh"
 #include "persist/wire.hh"
 #include "provenance/explain.hh"
 #include "provenance/recorder.hh"
 #include "service/service.hh"
 #include "sim/trace.hh"
+#include "telemetry/registry.hh"
 
 using namespace pift;
 using service::EventKind;
@@ -75,6 +82,80 @@ leakyWorkload(ProcId pid)
     evs.push_back(memEv(pid, EventKind::Store, base + 4096,
                         base + 4099, 2));
     return evs;
+}
+
+/**
+ * A standalone DurableSession with flush_each = true, fed the events
+ * of one service session: what the service's group-committed files
+ * must equal byte for byte.
+ */
+struct PerRecordReference
+{
+    core::TaintStorage storage;
+    core::PiftTracker tracker;
+    persist::DurableSession durable;
+    ProcId pid;
+    SeqNum records_fed = 0;
+
+    PerRecordReference(ProcId pid_, const service::SessionConfig &cfg,
+                       const std::string &dir)
+        : storage(cfg.storage), tracker(cfg.params, storage),
+          durable(storage, tracker, {dir, cfg.snapshot_every, true}),
+          pid(pid_)
+    {
+        EXPECT_TRUE(durable.start().ok());
+        tracker.setJournal(&durable);
+    }
+
+    /** Session::apply's translation of one service event. */
+    void
+    apply(const ServiceEvent &ev)
+    {
+        if (ev.kind == EventKind::Load || ev.kind == EventKind::Store) {
+            sim::TraceRecord rec;
+            rec.seq = ++records_fed;
+            rec.local_seq = ev.local_seq;
+            rec.pid = pid;
+            rec.mem_kind = ev.kind == EventKind::Load
+                               ? sim::MemKind::Load
+                               : sim::MemKind::Store;
+            rec.mem_start = ev.start;
+            rec.mem_end = ev.end;
+            tracker.onRecord(rec);
+            return;
+        }
+        sim::ControlEvent ctl;
+        ctl.seq = records_fed;
+        ctl.kind = ev.kind == EventKind::Source
+                       ? sim::ControlKind::RegisterSource
+                       : ev.kind == EventKind::Sink
+                             ? sim::ControlKind::CheckSink
+                             : sim::ControlKind::ClearAll;
+        ctl.pid = pid;
+        ctl.start = ev.start;
+        ctl.end = ev.end;
+        ctl.id = ev.id;
+        tracker.onControl(ctl);
+    }
+};
+
+/** The file's bytes, or "" when it cannot be read. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::string bytes;
+    (void)persist::readFileBytes(path, bytes);
+    return bytes;
+}
+
+/** A fresh, empty directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + "/" + name;
+    std::filesystem::remove_all(dir);
+    EXPECT_TRUE(persist::ensureDir(dir).ok());
+    return dir;
 }
 
 } // namespace
@@ -332,6 +413,37 @@ TEST(ServiceThreaded, NarrowPoolMultiplexesAllShards)
     }
 }
 
+TEST(ServiceThreaded, StopBeforeWorkersStartStillEndsTheRun)
+{
+    // A caller starts runWorkers on its own thread, so its stop() can
+    // land before that thread gets going. The run must still end
+    // (after draining what is queued) instead of parking its workers
+    // for good.
+    service::ServiceConfig cfg;
+    cfg.shards = 2;
+    service::TrackingService svc(cfg);
+    for (const auto &ev : leakyWorkload(3))
+        ASSERT_TRUE(svc.submit(ev));
+    svc.stop();
+    exec::ThreadPool pool(cfg.shards + 1);
+    std::thread workers([&] { svc.runWorkers(pool); });
+    workers.join();
+    EXPECT_EQ(svc.stats().drained, svc.stats().accepted);
+
+    // The stop was consumed: a later run serves events until its own.
+    std::thread again([&] { svc.runWorkers(pool); });
+    ASSERT_TRUE(svc.submit(memEv(3, EventKind::Load, 0x20000,
+                                 0x20003, 9)));
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (svc.stats().drained < svc.stats().accepted &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(svc.stats().drained, svc.stats().accepted);
+    svc.stop();
+    again.join();
+}
+
 TEST(ServiceEviction, CeilingShedsLruAndForcesStateLossOnReturn)
 {
     service::ServiceConfig cfg;
@@ -477,6 +589,249 @@ TEST(ServiceDurability, SessionsJournalIntoPerPidDirectories)
             .ok());
 }
 
+TEST(ServiceDurability, GroupCommitWritesTheFilesOfPerRecordFlush)
+{
+    // Group commit changes when journal bytes reach the file, never
+    // which bytes: for every registry app, a service session's WAL
+    // and snapshot after detach equal those of a standalone session
+    // that flushes every record, fed the same stream and probes.
+    const std::string root = freshDir("pift_group_commit_files");
+    service::ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.session.durable_dir = root + "/svc";
+    cfg.session.snapshot_every = 4096;
+    service::TrackingService svc(cfg);
+
+    std::vector<const droidbench::AppEntry *> apps;
+    for (const auto *list :
+         {&droidbench::droidBenchApps(), &droidbench::malwareApps()})
+        for (const auto &entry : *list)
+            apps.push_back(&entry);
+    size_t snapshotted = 0;
+    for (size_t i = 0; i < apps.size(); ++i) {
+        const ProcId pid = static_cast<ProcId>(100 + i);
+        const std::string name = apps[i]->name;
+        auto evs = service::eventsFromTrace(
+            droidbench::runApp(*apps[i]).trace, pid);
+        const std::string ref_dir = root + "/ref_" + std::to_string(pid);
+        PerRecordReference ref(pid, cfg.session, ref_dir);
+        // Batches of 1,000 events, each followed by a probe of its
+        // last event's range, whose record waits for the next drain.
+        const size_t chunk = 1000;
+        for (size_t off = 0; off < evs.size(); off += chunk) {
+            const size_t n = std::min(chunk, evs.size() - off);
+            ASSERT_EQ(svc.submitMany(evs.data() + off, n), n) << name;
+            svc.pump();
+            for (size_t k = off; k < off + n; ++k)
+                ref.apply(evs[k]);
+            const ServiceEvent &last = evs[off + n - 1];
+            ServiceEvent probe =
+                ctlEv(pid, EventKind::Sink, last.start, last.end,
+                      static_cast<uint32_t>(50000 + off / chunk));
+            ref.apply(probe);
+            EXPECT_EQ(svc.checkSinkNow(pid, probe.start, probe.end,
+                                       probe.id),
+                      ref.tracker.sinkResults().back().verdict)
+                << name;
+        }
+        ASSERT_TRUE(svc.detach(pid)) << name;
+        ASSERT_TRUE(ref.durable.close().ok()) << name;
+
+        const std::string dir =
+            cfg.session.durable_dir + "/pid_" + std::to_string(pid);
+        const std::string wal = fileBytes(persist::walPath(dir));
+        const std::string want_wal = fileBytes(persist::walPath(ref_dir));
+        EXPECT_GT(want_wal.size(), persist::wal_header_bytes) << name;
+        EXPECT_TRUE(wal == want_wal)
+            << name << ": WAL " << wal.size() << " vs "
+            << want_wal.size() << " bytes";
+        const std::string snap = fileBytes(persist::snapshotPath(dir));
+        const std::string want_snap =
+            fileBytes(persist::snapshotPath(ref_dir));
+        EXPECT_TRUE(snap == want_snap)
+            << name << ": snapshot " << snap.size() << " vs "
+            << want_snap.size() << " bytes";
+        if (!want_snap.empty())
+            ++snapshotted;
+    }
+    EXPECT_EQ(apps.size(), 64u);
+    // The large apps rotated their WALs through snapshots.
+    EXPECT_GT(snapshotted, 0u);
+    std::filesystem::remove_all(root);
+}
+
+TEST(ServiceDurability, DrainedBatchIsOnDiskWhenPumpReturns)
+{
+    // The durability window: a drained batch is in the WAL file as
+    // soon as pump() returns, with no flush; a sink check's record
+    // waits for the shard's next non-empty drain, or the detach.
+    const std::string root = freshDir("pift_group_commit_window");
+    service::ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.session.durable_dir = root + "/svc";
+    service::TrackingService svc(cfg);
+    const ProcId pid = 9;
+    PerRecordReference ref(pid, cfg.session, root + "/ref");
+    const std::string wal = persist::walPath(
+        cfg.session.durable_dir + "/pid_" + std::to_string(pid));
+    const std::string ref_wal = persist::walPath(root + "/ref");
+
+    auto evs = leakyWorkload(pid);
+    ASSERT_EQ(svc.submitMany(evs.data(), evs.size()), evs.size());
+    svc.pump();
+    for (const auto &ev : evs)
+        ref.apply(ev);
+    const std::string batch = fileBytes(ref_wal);
+    ASSERT_GT(batch.size(), persist::wal_header_bytes);
+    EXPECT_TRUE(fileBytes(wal) == batch);
+
+    const Addr base = 0x10000u + pid * 0x10000u;
+    const ServiceEvent check =
+        ctlEv(pid, EventKind::Sink, base + 4096, base + 4099, 77);
+    EXPECT_EQ(svc.checkSinkNow(pid, check.start, check.end, check.id),
+              core::SinkVerdict::Tainted);
+    ref.apply(check);
+    ASSERT_EQ(fileBytes(ref_wal).size(),
+              batch.size() + persist::wal_frame_bytes);
+    EXPECT_TRUE(fileBytes(wal) == batch);
+    svc.pump(); // an empty drain commits nothing
+    EXPECT_TRUE(fileBytes(wal) == batch);
+
+    // Another pid's batch on the same shard commits the check.
+    ASSERT_TRUE(svc.submit(memEv(pid + 1, EventKind::Load, 0x900000,
+                                 0x900003, 1)));
+    svc.pump();
+    EXPECT_TRUE(fileBytes(wal) == fileBytes(ref_wal));
+
+    // A check followed by the session's own batch.
+    const ServiceEvent check2 =
+        ctlEv(pid, EventKind::Sink, base, base + 3, 78);
+    const ServiceEvent load =
+        memEv(pid, EventKind::Load, base, base + 3, 3);
+    EXPECT_EQ(svc.checkSinkNow(pid, check2.start, check2.end, check2.id),
+              core::SinkVerdict::Tainted);
+    ref.apply(check2);
+    EXPECT_LT(fileBytes(wal).size(), fileBytes(ref_wal).size());
+    ASSERT_TRUE(svc.submit(load));
+    svc.pump();
+    ref.apply(load);
+    EXPECT_TRUE(fileBytes(wal) == fileBytes(ref_wal));
+
+    // Detach commits a pending check.
+    const ServiceEvent check3 =
+        ctlEv(pid, EventKind::Sink, 0x700000, 0x700003, 79);
+    EXPECT_EQ(svc.checkSinkNow(pid, check3.start, check3.end, check3.id),
+              core::SinkVerdict::Clean);
+    ref.apply(check3);
+    EXPECT_LT(fileBytes(wal).size(), fileBytes(ref_wal).size());
+    ASSERT_TRUE(svc.detach(pid));
+    EXPECT_TRUE(fileBytes(wal) == fileBytes(ref_wal));
+    std::filesystem::remove_all(root);
+}
+
+TEST(ServiceDurability, LossMarkOutsideADrainCommitsWithTheNextBatch)
+{
+    // A refused event journals its pid's StreamLoss at submit time,
+    // outside any drain. The shard's next batch commits it even when
+    // that batch holds no event of the refused pid.
+    const std::string root = freshDir("pift_group_commit_loss");
+    service::ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.queue_capacity = 1;
+    cfg.session.durable_dir = root;
+    service::TrackingService svc(cfg);
+    ASSERT_TRUE(svc.attach(2));
+    ASSERT_TRUE(svc.submit(
+        memEv(1, EventKind::Load, 0x500000, 0x500003, 1)));
+    ASSERT_FALSE(svc.submit(
+        memEv(2, EventKind::Load, 0x600000, 0x600003, 1)));
+    const std::string wal = persist::walPath(root + "/pid_2");
+    ASSERT_TRUE(persist::readWalFile(wal).ok());
+    EXPECT_TRUE(persist::readWalFile(wal).value().records.empty());
+    svc.pump();
+    auto after = persist::readWalFile(wal);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after.value().records.size(), 1u);
+    EXPECT_EQ(after.value().records[0].kind,
+              core::JournalKind::StreamLoss);
+    EXPECT_EQ(after.value().records[0].pid, 2u);
+    std::filesystem::remove_all(root);
+}
+
+TEST(ServiceDurability, FailedCommitIsCountedAndSessionKeepsAnswering)
+{
+    // A commit that fails after append() had buffered the records
+    // must mark the session's journal unhealthy, count once in
+    // persist.io_failures_total and leave the live session
+    // answering from memory. The failure is made in this process:
+    // its file-size limit is capped at the WAL's current size, with
+    // SIGXFSZ ignored so the write fails with EFBIG instead.
+    const std::string root = freshDir("pift_group_commit_failure");
+    service::ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.session.durable_dir = root;
+    service::TrackingService svc(cfg);
+    const ProcId pid = 5;
+    const std::string wal =
+        persist::walPath(root + "/pid_" + std::to_string(pid));
+    auto evs = leakyWorkload(pid);
+    ASSERT_EQ(svc.submitMany(evs.data(), evs.size()), evs.size());
+    svc.pump();
+    const auto committed = persist::readWalFile(wal);
+    ASSERT_TRUE(committed.ok());
+    ASSERT_FALSE(committed.value().records.empty());
+
+    auto &failures = telemetry::counter("persist.io_failures_total");
+    const uint64_t before = failures.value();
+    const Addr base = 0x10000u + pid * 0x10000u;
+    const ServiceEvent tainted_load =
+        memEv(pid, EventKind::Load, base, base + 3, 3);
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved;
+    capped.rlim_cur = std::filesystem::file_size(wal);
+    const bool limited = ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+    if (limited) {
+        (void)svc.submit(tainted_load);
+        svc.pump();
+    }
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, saved_handler);
+    ASSERT_TRUE(limited);
+
+    auto infos = svc.sessions();
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_FALSE(infos[0].durable_healthy);
+    if (telemetry::compiledIn()) {
+        EXPECT_EQ(failures.value(), before + 1);
+    }
+
+    // Sticky: later batches neither write nor count again.
+    ASSERT_TRUE(svc.submit(tainted_load));
+    svc.pump();
+    if (telemetry::compiledIn()) {
+        EXPECT_EQ(failures.value(), before + 1);
+    }
+
+    // The live session still answers from memory, Tainted and Clean.
+    EXPECT_EQ(svc.checkSinkNow(pid, base + 4096, base + 4099, 90),
+              core::SinkVerdict::Tainted);
+    EXPECT_EQ(svc.checkSinkNow(pid, 0x700000, 0x700003, 91),
+              core::SinkVerdict::Clean);
+    EXPECT_TRUE(svc.detach(pid));
+
+    // The file keeps the committed prefix, whole frames only.
+    const auto after = persist::readWalFile(wal);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(after.value().header_ok);
+    EXPECT_FALSE(after.value().torn) << after.value().detail;
+    EXPECT_EQ(after.value().records.size(),
+              committed.value().records.size());
+    std::filesystem::remove_all(root);
+}
+
 TEST(ServiceStress, ConcurrentAttachIngestDetachExpire)
 {
     // The TSan target: producers, lifecycle chaos, sink checks and
@@ -551,6 +906,90 @@ TEST(ServiceStress, ConcurrentAttachIngestDetachExpire)
                                   2000 + pid);
         (void)v; // any verdict is legal here; the call must be safe
     }
+}
+
+TEST(ServiceStress, DurableGroupCommitUnderConcurrency)
+{
+    // The TSan target for group commit: per-shard workers commit
+    // WALs at their drains while producers submit, a chaos thread
+    // probes, detaches (closing WALs) and runs maintain() (evicting,
+    // so closing more) on the same pids, and snapshots rotate every
+    // few records. Afterwards every pid directory must recover with
+    // no corruption and no torn WAL, live sessions and closed alike.
+    const std::string dir = freshDir("pift_stress_durable");
+    service::ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.queue_capacity = 64;
+    cfg.memory_ceiling = 16 * 64;
+    cfg.session.durable_dir = dir;
+    cfg.session.snapshot_every = 4;
+    service::TrackingService svc(cfg);
+
+    exec::ThreadPool pool(cfg.shards + 1);
+    std::thread workers([&] { svc.runWorkers(pool); });
+
+    const ProcId npids = 12;
+    auto producer = [&](unsigned seed) {
+        for (unsigned round = 0; round < 300; ++round) {
+            ProcId pid = 1 + (seed + round) % npids;
+            auto evs = leakyWorkload(pid);
+            (void)svc.submitMany(evs.data(), evs.size());
+        }
+    };
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < 3; ++p)
+        producers.emplace_back(producer, p * 5);
+    std::thread chaos([&] {
+        for (unsigned round = 0; round < 300; ++round) {
+            ProcId pid = 1 + round % npids;
+            Addr base = 0x10000u + pid * 0x10000u;
+            switch (round % 3) {
+              case 0:
+                svc.checkSinkNow(pid, base + 4096, base + 4099,
+                                 3000 + round);
+                break;
+              case 1:
+                svc.detach(pid);
+                break;
+              default:
+                svc.maintain();
+                break;
+            }
+        }
+    });
+    for (auto &t : producers)
+        t.join();
+    chaos.join();
+    svc.stop();
+    workers.join();
+    svc.pump();
+
+    auto expectRecoverable = [&](const char *when) {
+        size_t dirs = 0, snapshots = 0;
+        for (ProcId pid = 1; pid <= npids; ++pid) {
+            const std::string d = dir + "/pid_" + std::to_string(pid);
+            if (!std::filesystem::exists(d))
+                continue;
+            ++dirs;
+            auto r = persist::recover(d, cfg.session.storage);
+            snapshots += r.snapshot_present;
+            EXPECT_FALSE(r.corruption_detected)
+                << when << " " << d << ": " << r.detail;
+            EXPECT_TRUE(r.wal_header_ok)
+                << when << " " << d << ": " << r.detail;
+            EXPECT_FALSE(r.wal_torn)
+                << when << " " << d << ": " << r.detail;
+        }
+        EXPECT_GT(dirs, 0u) << when;
+        EXPECT_GT(snapshots, 0u) << when; // WALs rotated meanwhile
+    };
+    for (const auto &info : svc.sessions())
+        EXPECT_TRUE(info.durable_healthy) << info.pid;
+    expectRecoverable("live");
+    for (ProcId pid = 1; pid <= npids; ++pid)
+        svc.detach(pid);
+    expectRecoverable("detached");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceStress, PumpModeDeterministicAcrossJobs)
