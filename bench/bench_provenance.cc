@@ -27,18 +27,18 @@
  *     (evictions reported, incomplete chains cite ring-evicted)
  *     rather than silently. Informational.
  *
- * Emits BENCH_provenance.json (schemas/bench_provenance.schema.json,
- * validated by tools/validate_provenance.py).
+ * Emits BENCH_provenance.json (schemas/bench_provenance.schema.json);
+ * the named checks at the end of main() fail the bench (exit 1).
  */
 
 #include "analysis/attribution.hh"
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "core/taint_storage.hh"
 #include "provenance/provenance.hh"
 #include "sim/batch.hh"
 
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -86,12 +86,6 @@ sumRows(const std::vector<analysis::AttributionRow> &rows)
         t.ok = t.ok && row.ok;
     }
     return t;
-}
-
-const char *
-boolName(bool b)
-{
-    return b ? "true" : "false";
 }
 
 /** One replay of the whole registry (the overhead workload). */
@@ -256,87 +250,82 @@ main(int argc, char **argv)
     }
 
     // --- JSON artifact.
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     out_path.c_str());
-        return 2;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"bench_provenance\",\n";
-    os << "  \"compiled_in\": "
-       << boolName(provenance::compiledIn()) << ",\n";
-    os << "  \"ring_capacity\": " << dcfg.recorder.ring_capacity
-       << ",\n";
-    os << "  \"trace_records\": " << total_events << ",\n";
-    os << "  \"differential\": {\n";
-    os << "    \"apps\": " << totals.apps << ",\n";
-    os << "    \"sinks\": " << totals.sinks << ",\n";
-    os << "    \"explained\": " << totals.explained << ",\n";
-    os << "    \"tainted\": " << totals.tainted << ",\n";
-    os << "    \"complete_chains\": " << totals.complete_chains
-       << ",\n";
-    os << "    \"maybe\": " << totals.maybe << ",\n";
-    os << "    \"cited_causes\": " << totals.cited_causes << ",\n";
-    os << "    \"clean\": " << totals.clean << ",\n";
-    os << "    \"clean_with_chain\": " << totals.clean_with_chain
-       << ",\n";
-    os << "    \"records\": " << totals.records << ",\n";
-    os << "    \"evicted\": " << totals.evicted << ",\n";
-    os << "    \"longest_chain\": " << totals.longest_chain << ",\n";
-    os << "    \"ok\": " << boolName(diff_ok) << "\n";
-    os << "  },\n";
-    os << "  \"fault_sweep\": [\n";
-    for (size_t i = 0; i < fault_rows.size(); ++i) {
+    const bool compiled_in = provenance::compiledIn();
+    benchx::Report rep("bench_provenance");
+    rep.field("compiled_in", compiled_in,
+              "ring_capacity", dcfg.recorder.ring_capacity,
+              "trace_records", total_events);
+    rep.object("differential", [&] {
+        const DiffTotals &t = totals;
+        rep.field("apps", t.apps, "sinks", t.sinks,
+                  "explained", t.explained, "tainted", t.tainted,
+                  "complete_chains", t.complete_chains,
+                  "maybe", t.maybe, "cited_causes", t.cited_causes,
+                  "clean", t.clean,
+                  "clean_with_chain", t.clean_with_chain,
+                  "records", t.records, "evicted", t.evicted,
+                  "longest_chain", t.longest_chain, "ok", diff_ok);
+    });
+    rep.array("fault_sweep", fault_rows.size(), [&](size_t i) {
         const auto &row = fault_rows[i];
-        os << "    {\"fault_class\": \""
-           << analysis::faultClassName(row.fault_class)
-           << "\", \"apps\": " << row.apps
-           << ", \"affected\": " << row.affected
-           << ", \"maybe\": " << row.maybe
-           << ", \"cited\": " << row.cited
-           << ", \"cause_matches\": " << row.cause_matches
-           << ", \"faults\": " << row.faults
-           << ", \"ok\": " << boolName(row.ok) << "}"
-           << (i + 1 < fault_rows.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"overhead\": {\n";
-    os << "    \"measured\": " << boolName(measure_overhead)
-       << ",\n";
-    os << "    \"reps\": " << (measure_overhead ? reps : 0) << ",\n";
-    os << "    \"recorder_off_ms\": " << off_ms << ",\n";
-    os << "    \"recorder_on_ms\": " << on_ms << ",\n";
-    os << "    \"overhead_pct\": " << overhead_pct << ",\n";
-    os << "    \"budget_pct\": " << budget_pct << ",\n";
-    os << "    \"within_budget\": " << boolName(within_budget)
-       << "\n";
-    os << "  },\n";
-    os << "  \"ring_sweep\": [\n";
-    for (size_t i = 0; i < ring_rows.size(); ++i) {
+        rep.field("fault_class",
+                  analysis::faultClassName(row.fault_class),
+                  "apps", row.apps, "affected", row.affected,
+                  "maybe", row.maybe, "cited", row.cited,
+                  "cause_matches", row.cause_matches,
+                  "faults", row.faults, "ok", row.ok);
+    });
+    rep.object("overhead", [&] {
+        rep.field("measured", measure_overhead,
+                  "reps", measure_overhead ? reps : 0,
+                  "recorder_off_ms", off_ms, "recorder_on_ms", on_ms,
+                  "overhead_pct", overhead_pct,
+                  "budget_pct", budget_pct,
+                  "within_budget", within_budget);
+    });
+    rep.array("ring_sweep", ring_rows.size(), [&](size_t i) {
         const auto &row = ring_rows[i];
-        os << "    {\"capacity\": " << row.capacity
-           << ", \"tainted\": " << row.t.tainted
-           << ", \"complete_chains\": " << row.t.complete_chains
-           << ", \"maybe\": " << row.t.maybe
-           << ", \"cited_causes\": " << row.t.cited_causes
-           << ", \"evicted\": " << row.t.evicted
-           << ", \"contract\": " << boolName(row.contract) << "}"
-           << (i + 1 < ring_rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "short write to '%s'\n",
-                     out_path.c_str());
-        return 2;
-    }
-    std::printf("\nwrote %s\n", out_path.c_str());
+        rep.field("capacity", row.capacity, "tainted", row.t.tainted,
+                  "complete_chains", row.t.complete_chains,
+                  "maybe", row.t.maybe,
+                  "cited_causes", row.t.cited_causes,
+                  "evicted", row.t.evicted, "contract", row.contract);
+    });
 
-    bool pass = diff_ok && fault_ok;
-    std::printf("verdict: %s\n",
-                pass ? "every sink verdict explained"
-                     : "EXPLANATION CONTRACT VIOLATED");
-    return pass ? 0 : 1;
+    rep.check("differential.ok: every app holds the contract",
+              diff_ok);
+    rep.check("fault_sweep: every class holds the contract", fault_ok);
+    if (compiled_in) {
+        rep.check("differential: tainted == complete_chains",
+                  totals.tainted == totals.complete_chains);
+        rep.check("differential: maybe == cited_causes",
+                  totals.maybe == totals.cited_causes);
+        rep.check("differential: clean_with_chain == 0",
+                  totals.clean_with_chain == 0);
+        rep.check("differential: explained == sinks",
+                  totals.explained == totals.sinks);
+        for (const auto &row : fault_rows)
+            rep.check("fault_sweep[" +
+                          std::string(analysis::faultClassName(
+                              row.fault_class)) +
+                          "]: cited == maybe == cause_matches",
+                      row.cited == row.maybe &&
+                          row.cause_matches == row.maybe);
+        rep.check("ring_sweep: the largest ring holds the contract "
+                  "with 0 evictions",
+                  !ring_rows.empty() && ring_rows.back().contract &&
+                      ring_rows.back().t.evicted == 0);
+    } else {
+        rep.check("compiled out: differential.records == 0",
+                  totals.records == 0);
+    }
+    bool ascending = true;
+    for (size_t i = 1; i < ring_rows.size(); ++i)
+        ascending = ascending &&
+            ring_rows[i - 1].capacity < ring_rows[i].capacity;
+    rep.check("ring_sweep: capacities strictly ascending", ascending);
+    rep.check("overhead measured => reps >= 1",
+              !measure_overhead || reps >= 1);
+    std::printf("\n");
+    return rep.finish(out_path);
 }

@@ -5,21 +5,19 @@
  * back, and a crash-point sweep summary (the same differential the
  * test suite proves, here sized up and exported as data).
  *
- * Emits BENCH_recovery.json, validated in CI against
- * schemas/bench_recovery.schema.json by tools/validate_recovery.py.
+ * Emits BENCH_recovery.json (schemas/bench_recovery.schema.json).
  * The sweep counters are deterministic (seeded plan, fixed workload);
- * the timing fields are informational — CI gates on the invariants
- * (zero silent false negatives, zero false positives, exact+detected
- * covering every point), never on wall-clock.
+ * the timing fields are informational. The named checks at the end
+ * of main() gate the invariants (exit 1), never wall-clock.
  *
  * Usage: bench_recovery [--reps N] [--out FILE] [--dir DIR]
  */
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -414,54 +412,42 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     sweep.false_positives));
 
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     out_path.c_str());
-        return 2;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"bench_recovery\",\n";
-    os << "  \"records\": " << trace.records.size() << ",\n";
-    os << "  \"journal_records\": " << records_logged << ",\n";
-    os << "  \"wal_bytes\": " << flat.wal_bytes << ",\n";
-    os << "  \"wal_frame_bytes\": " << persist::wal_frame_bytes
-       << ",\n";
-    os << "  \"wal_header_bytes\": " << persist::wal_header_bytes
-       << ",\n";
-    os << "  \"snapshot_bytes\": " << snapshot_bytes << ",\n";
-    os << "  \"plain_ms\": " << plain_ms << ",\n";
-    os << "  \"wal_ms\": " << wal_ms << ",\n";
-    os << "  \"wal_flush_ms\": " << wal_flush_ms << ",\n";
-    os << "  \"journal_overhead_pct\": " << overhead_pct << ",\n";
-    os << "  \"snapshot_write_ms\": " << snap_write_ms << ",\n";
-    os << "  \"snapshot_load_ms\": " << snap_load_ms << ",\n";
-    os << "  \"recovery\": [\n";
-    for (size_t i = 0; i < recovery_rows.size(); ++i)
-        os << "    {\"wal_records\": " << recovery_rows[i].wal_records
-           << ", \"ms\": " << recovery_rows[i].ms << "}"
-           << (i + 1 < recovery_rows.size() ? "," : "") << "\n";
-    os << "  ],\n";
-    os << "  \"crash_sweep\": {\"points\": " << sweep.points
-       << ", \"exact\": " << sweep.exact
-       << ", \"detected\": " << sweep.detected
-       << ", \"silent_fn\": " << sweep.silent_fn
-       << ", \"false_positives\": " << sweep.false_positives
-       << "}\n";
-    os << "}\n";
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "short write to '%s'\n",
-                     out_path.c_str());
-        return 2;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
+    benchx::Report rep("bench_recovery");
+    rep.field("records", trace.records.size(),
+              "journal_records", records_logged,
+              "wal_bytes", flat.wal_bytes,
+              "wal_frame_bytes", persist::wal_frame_bytes,
+              "wal_header_bytes", persist::wal_header_bytes,
+              "snapshot_bytes", snapshot_bytes);
+    rep.field("plain_ms", plain_ms, "wal_ms", wal_ms,
+              "wal_flush_ms", wal_flush_ms,
+              "journal_overhead_pct", overhead_pct,
+              "snapshot_write_ms", snap_write_ms,
+              "snapshot_load_ms", snap_load_ms);
+    rep.array("recovery", recovery_rows.size(), [&](size_t i) {
+        rep.field("wal_records", recovery_rows[i].wal_records,
+                  "ms", recovery_rows[i].ms);
+    });
+    rep.object("crash_sweep", [&] {
+        rep.field("points", sweep.points, "exact", sweep.exact,
+                  "detected", sweep.detected,
+                  "silent_fn", sweep.silent_fn,
+                  "false_positives", sweep.false_positives);
+    });
 
-    bool invariants = sweep.silent_fn == 0 &&
-        sweep.false_positives == 0 &&
-        sweep.exact + sweep.detected == sweep.points;
-    std::printf("verdict: %s\n",
-                invariants ? "every crash point exact or detected"
-                           : "INVARIANT VIOLATION");
-    return invariants ? 0 : 1;
+    rep.check("crash_sweep.silent_fn == 0", sweep.silent_fn == 0);
+    rep.check("crash_sweep.false_positives == 0",
+              sweep.false_positives == 0);
+    rep.check("crash_sweep: exact + detected == points",
+              sweep.exact + sweep.detected == sweep.points);
+    rep.check("wal_bytes == header + frame * journal_records",
+              flat.wal_bytes ==
+                  persist::wal_header_bytes +
+                      persist::wal_frame_bytes * records_logged);
+    bool ascending = true;
+    for (size_t i = 1; i < recovery_rows.size(); ++i)
+        ascending = ascending && recovery_rows[i - 1].wal_records <=
+                recovery_rows[i].wal_records;
+    rep.check("recovery rows ascending in wal_records", ascending);
+    return rep.finish(out_path);
 }

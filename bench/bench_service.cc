@@ -4,14 +4,15 @@
  * app registry through TrackingService and gate the properties the
  * daemon layer promises.
  *
- * Built-in gates (the binary exits non-zero on any violation):
+ * Named checks (exit 1 on any violation):
  *  - verdict differential: every registry app multiplexed through
  *    the service yields exactly the serial per-app replay's
  *    (sink_id, tainted, verdict) sequence at zero faults;
  *  - determinism: the multiplexed verdict streams are identical at
  *    --jobs 1 and --jobs 4 (CI additionally cmp's whole reports);
  *  - scale: sustained events/sec and exact-p99 sink-check latency at
- *    1/16/256/4096 concurrent sessions;
+ *    1/16/256/4096 concurrent sessions, each row with every event
+ *    accepted (none overflowed) and at least one sink probe;
  *  - pressure: at 4096 sessions a byte ceiling engages eviction and
  *    aggregate storage stays bounded, with FP=0 and no silent FN at
  *    sinks (evicted tenants answer MaybeTainted, never bare Clean);
@@ -28,11 +29,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "exec/thread_pool.hh"
 #include "provenance/explain.hh"
 #include "provenance/recorder.hh"
@@ -466,60 +467,62 @@ main(int argc, char **argv)
             r.p99_sink_us = 0.0;
         }
 
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     out_path.c_str());
-        return 2;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"bench_service\",\n";
-    os << "  \"shards\": 16,\n";
-    os << "  \"queue_capacity\": " << (1u << 16) << ",\n";
-    os << "  \"no_timing\": " << (no_timing ? "true" : "false")
-       << ",\n";
-    os << "  \"provenance_compiled\": "
-       << (provenance::compiledIn() ? "true" : "false") << ",\n";
-    os << "  \"differential\": {\"apps\": " << set.size()
-       << ", \"mismatches\": " << mismatches << ", \"identical\": "
-       << (differential_ok ? "true" : "false") << "},\n";
-    os << "  \"deterministic\": "
-       << (deterministic ? "true" : "false") << ",\n";
-    os << "  \"scaling\": [\n";
-    for (size_t i = 0; i < runs.size(); ++i) {
+    benchx::Report rep("bench_service");
+    rep.field("shards", 16, "queue_capacity", 1u << 16,
+              "no_timing", no_timing,
+              "provenance_compiled", provenance::compiledIn());
+    rep.object("differential", [&] {
+        rep.field("apps", set.size(), "mismatches", mismatches,
+                  "identical", differential_ok);
+    });
+    rep.field("deterministic", deterministic);
+    rep.array("scaling", runs.size(), [&](size_t i) {
         const ScaleRun &r = runs[i];
-        os << "    {\"sessions\": " << r.sessions << ", \"events\": "
-           << r.events << ", \"accepted\": " << r.accepted
-           << ", \"overflowed\": " << r.overflowed
-           << ", \"wall_ms\": " << r.wall_ms
-           << ", \"events_per_sec\": " << r.events_per_sec
-           << ", \"p99_sink_us\": " << r.p99_sink_us
-           << ", \"sink_checks\": " << r.sink_checks
-           << ", \"clean\": " << r.clean << ", \"tainted\": "
-           << r.tainted << ", \"maybe\": " << r.maybe << "}"
-           << (i + 1 < runs.size() ? "," : "") << "\n";
+        rep.field("sessions", r.sessions, "events", r.events,
+                  "accepted", r.accepted, "overflowed", r.overflowed,
+                  "wall_ms", r.wall_ms,
+                  "events_per_sec", r.events_per_sec,
+                  "p99_sink_us", r.p99_sink_us,
+                  "sink_checks", r.sink_checks, "clean", r.clean,
+                  "tainted", r.tainted, "maybe", r.maybe);
+    });
+    rep.object("pressure", [&] {
+        rep.field("sessions", kPressurePids, "ceiling_bytes", kCeiling,
+                  "evicted", evicted, "final_bytes", final_bytes,
+                  "fp", fp, "silent_fn", silent_fn, "ok", pressure_ok);
+    });
+    rep.object("backpressure", [&] {
+        rep.field("overflowed", bp_overflowed,
+                  "surfaced_maybe", bp_surfaced,
+                  "provenance_cited", bp_cited, "ok", backpressure_ok);
+    });
+    rep.field("gates_passed", all_ok);
+
+    rep.check("differential: every app's multiplexed verdicts equal "
+              "its serial replay",
+              differential_ok);
+    rep.check("deterministic: verdict streams equal at pump widths 1 "
+              "and 4",
+              deterministic);
+    std::vector<unsigned> sessions;
+    for (const ScaleRun &r : runs) {
+        const std::string row =
+            "scaling[" + std::to_string(r.sessions) + " sessions]: ";
+        sessions.push_back(r.sessions);
+        rep.check(row + "overflowed == 0", r.overflowed == 0);
+        rep.check(row + "accepted == events", r.accepted == r.events);
+        rep.check(row + "sink_checks >= 1", r.sink_checks >= 1);
     }
-    os << "  ],\n";
-    os << "  \"pressure\": {\"sessions\": " << kPressurePids
-       << ", \"ceiling_bytes\": " << kCeiling << ", \"evicted\": "
-       << evicted << ", \"final_bytes\": " << final_bytes
-       << ", \"fp\": " << fp << ", \"silent_fn\": " << silent_fn
-       << ", \"ok\": " << (pressure_ok ? "true" : "false") << "},\n";
-    os << "  \"backpressure\": {\"overflowed\": " << bp_overflowed
-       << ", \"surfaced_maybe\": " << (bp_surfaced ? "true" : "false")
-       << ", \"provenance_cited\": " << (bp_cited ? "true" : "false")
-       << ", \"ok\": " << (backpressure_ok ? "true" : "false")
-       << "},\n";
-    os << "  \"gates_passed\": " << (all_ok ? "true" : "false")
-       << "\n";
-    os << "}\n";
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "short write to '%s'\n",
-                     out_path.c_str());
-        return 2;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    std::printf("gates: %s\n", all_ok ? "all passed" : "FAILED");
-    return all_ok ? 0 : 1;
+    rep.check("scaling rows are 1, 16, 256, 4096 sessions",
+              sessions == std::vector<unsigned>{1, 16, 256, 4096});
+    rep.check("pressure: evicted >= 1", evicted >= 1);
+    rep.check("pressure: final_bytes <= ceiling_bytes",
+              final_bytes <= kCeiling);
+    rep.check("pressure: fp == 0", fp == 0);
+    rep.check("pressure: silent_fn == 0", silent_fn == 0);
+    rep.check("backpressure: overflowed >= 1", bp_overflowed >= 1);
+    rep.check("backpressure: refusals surfaced as MaybeTainted",
+              bp_surfaced);
+    rep.check("backpressure: a StreamLoss record is cited", bp_cited);
+    return rep.finish(out_path);
 }

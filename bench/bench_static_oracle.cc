@@ -8,9 +8,9 @@
  * compare the joined policy with the Figure 11 sweep optimum.
  *
  * Emits BENCH_static_oracle.json (per-mode confusion counts, per-app
- * verdict agreement, policy table, wall times), validated in CI
- * against schemas/bench_static_oracle.schema.json by
- * tools/validate_static_oracle.py.
+ * verdict agreement, policy table, wall times;
+ * schemas/bench_static_oracle.schema.json); the named checks at the
+ * end of main() fail the bench (exit 1).
  *
  * Everything here is deterministic: no execution feeds the static
  * side, and the replays are exact — the dynamic verdicts and the
@@ -22,10 +22,10 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <memory>
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 
 #include "analysis/crosscheck.hh"
 #include "droidbench/static_oracle.hh"
@@ -52,16 +52,6 @@ printAccuracy(const char *label, const analysis::Accuracy &a)
     std::printf("  %-22s TP=%-3u FP=%-3u TN=%-3u FN=%-3u "
                 "accuracy %.1f%%\n", label, a.tp, a.fp, a.tn, a.fn,
                 100.0 * a.accuracy());
-}
-
-void
-emitAccuracy(std::ofstream &os, const char *key,
-             const analysis::Accuracy &a)
-{
-    os << "  \"" << key << "\": {\"tp\": " << a.tp
-       << ", \"fp\": " << a.fp << ", \"tn\": " << a.tn
-       << ", \"fn\": " << a.fn << ", \"accuracy_pct\": "
-       << 100.0 * a.accuracy() << "},\n";
 }
 
 } // namespace
@@ -210,86 +200,81 @@ main(int argc, char **argv)
         malware_implicit += v.implicit_leaks ? 1 : 0;
     }
 
-    // --- JSON report. ----------------------------------------------
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     out_path.c_str());
-        return 2;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"bench_static_oracle\",\n";
-    os << "  \"apps\": " << all.size() << ",\n";
-    os << "  \"suite_apps\": " << verdicts.size() << ",\n";
-    os << "  \"malware_apps\": " << malware_verdicts.size() << ",\n";
-    emitAccuracy(os, "explicit", cc.static_vs_truth);
-    emitAccuracy(os, "implicit", cc.implicit_vs_truth);
-    emitAccuracy(os, "dynamic", cc.dynamic_vs_truth);
-    os << "  \"agreement\": {\"both_flag\": " << cc.both_flag
-       << ", \"both_clean\": " << cc.both_clean
-       << ", \"static_only\": " << cc.static_only
-       << ", \"dynamic_only\": " << cc.dynamic_only
-       << ", \"implicit_dynamic_disagreements\": "
-       << cc.implicit_disagreements.size() << "},\n";
-    os << "  \"malware\": {\"apps\": " << malware_verdicts.size()
-       << ", \"explicit_detected\": " << malware_explicit
-       << ", \"implicit_detected\": " << malware_implicit << "},\n";
-    os << "  \"policy\": {\"joined_ni\": " << pc.joined.ni
-       << ", \"joined_nt\": " << pc.joined.nt
-       << ", \"risky_apps\": " << pc.risky_apps
-       << ", \"derived_ni\": " << derivation.derived_ni
-       << ", \"derived_nt\": " << derivation.derived_nt
-       << ", \"optimum_ni\": " << bound.ni
-       << ", \"optimum_nt\": " << bound.nt
-       << ", \"covers_optimum\": "
-       << (pc.covers ? "true" : "false") << "},\n";
-    os << "  \"per_app\": [\n";
-    for (size_t i = 0; i < all.size(); ++i) {
+    // --- JSON report.
+    benchx::Report rep("bench_static_oracle");
+    rep.field("apps", all.size(), "suite_apps", verdicts.size(),
+              "malware_apps", malware_verdicts.size());
+    for (auto [key, a] : {std::pair{"explicit", cc.static_vs_truth},
+                          std::pair{"implicit", cc.implicit_vs_truth},
+                          std::pair{"dynamic", cc.dynamic_vs_truth}})
+        rep.object(key, [&] {
+            rep.field("tp", a.tp, "fp", a.fp, "tn", a.tn, "fn", a.fn,
+                      "accuracy_pct", 100.0 * a.accuracy());
+        });
+    rep.object("agreement", [&] {
+        rep.field("both_flag", cc.both_flag,
+                  "both_clean", cc.both_clean,
+                  "static_only", cc.static_only,
+                  "dynamic_only", cc.dynamic_only,
+                  "implicit_dynamic_disagreements",
+                  cc.implicit_disagreements.size());
+    });
+    rep.object("malware", [&] {
+        rep.field("apps", malware_verdicts.size(),
+                  "explicit_detected", malware_explicit,
+                  "implicit_detected", malware_implicit);
+    });
+    rep.object("policy", [&] {
+        rep.field("joined_ni", pc.joined.ni, "joined_nt", pc.joined.nt,
+                  "risky_apps", pc.risky_apps,
+                  "derived_ni", derivation.derived_ni,
+                  "derived_nt", derivation.derived_nt,
+                  "optimum_ni", bound.ni, "optimum_nt", bound.nt,
+                  "covers_optimum", pc.covers);
+    });
+    // One row per app; the dynamic verdict exists for suite apps only.
+    const size_t rows = std::min(all.size(), policies.size());
+    unsigned risky_rows = 0;
+    rep.array("per_app", rows, [&](size_t i) {
         const auto &v = all[i];
         const auto &p = policies[i];
-        bool dyn = false;
-        bool has_dyn = i < pairs.size();
-        if (has_dyn)
-            dyn = pairs[i].dynamic_leaks;
-        os << "    {\"name\": \"" << v.name << "\", \"truth\": "
-           << (v.leaks_truth ? "true" : "false")
-           << ", \"explicit\": "
-           << (v.static_leaks ? "true" : "false")
-           << ", \"implicit\": "
-           << (v.implicit_leaks ? "true" : "false");
-        if (has_dyn)
-            os << ", \"dynamic\": " << (dyn ? "true" : "false");
-        os << ", \"ni\": " << p.ni << ", \"nt\": " << p.nt
-           << ", \"implicit_risk\": "
-           << (p.implicit_risk ? "true" : "false")
-           << ", \"untaint\": \""
-           << (p.untaint_mode ==
-                       static_analysis::UntaintMode::Keep
-                   ? "keep"
-                   : "scrub")
-           << "\"}" << (i + 1 < all.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"wall_ms\": {\"static_sweep\": " << static_ms
-       << ", \"dynamic_replay\": " << dynamic_ms
-       << ", \"policy\": " << policy_ms
-       << ", \"sweep_optimum\": " << sweep_ms << "}\n";
-    os << "}\n";
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "short write to '%s'\n",
-                     out_path.c_str());
-        return 2;
-    }
-    std::printf("\nwrote %s\n", out_path.c_str());
+        const bool keep =
+            p.untaint_mode == static_analysis::UntaintMode::Keep;
+        rep.field("name", v.name, "truth", v.leaks_truth,
+                  "explicit", v.static_leaks,
+                  "implicit", v.implicit_leaks);
+        if (i < pairs.size())
+            rep.field("dynamic", pairs[i].dynamic_leaks);
+        rep.field("ni", p.ni, "nt", p.nt,
+                  "implicit_risk", p.implicit_risk,
+                  "untaint", keep ? "keep" : "scrub");
+        rep.check("per_app[" + v.name + "]: implicit reports every "
+                      "explicit leak",
+                  !v.static_leaks || v.implicit_leaks);
+        rep.check("per_app[" + v.name + "]: implicit risk => untaint "
+                      "keep",
+                  !p.implicit_risk || keep);
+        risky_rows += p.implicit_risk ? 1 : 0;
+    });
+    rep.object("wall_ms", [&] {
+        rep.field("static_sweep", static_ms, "dynamic_replay", dynamic_ms,
+                  "policy", policy_ms, "sweep_optimum", sweep_ms);
+    });
 
-    bool invariants = cc.static_vs_truth.fp == 0 &&
-        cc.implicit_vs_truth.fp == 0 &&
-        cc.implicit_vs_truth.fn == 0 &&
-        malware_implicit == malware_verdicts.size() && pc.covers;
-    std::printf("verdict: %s\n",
-                invariants
-                    ? "implicit mode closes the FNs with zero FPs"
-                    : "INVARIANT VIOLATION");
-    return invariants ? 0 : 1;
+    rep.check("explicit.fp == 0", cc.static_vs_truth.fp == 0);
+    rep.check("explicit.fn == 2 (the two implicit-flow apps)",
+              cc.static_vs_truth.fn == 2);
+    rep.check("implicit.fp == 0", cc.implicit_vs_truth.fp == 0);
+    rep.check("implicit.fn == 0", cc.implicit_vs_truth.fn == 0);
+    rep.check("per_app rows == apps", rows == all.size());
+    rep.check("malware.implicit_detected == malware.apps",
+              malware_implicit == malware_verdicts.size());
+    rep.check("policy.covers_optimum", pc.covers);
+    rep.check("policy: joined (ni, nt) >= optimum (ni, nt)",
+              pc.joined.ni >= static_cast<int>(bound.ni) &&
+                  pc.joined.nt >= static_cast<int>(bound.nt));
+    rep.check("policy.risky_apps == per_app rows with implicit_risk",
+              pc.risky_apps == risky_rows);
+    std::printf("\n");
+    return rep.finish(out_path);
 }

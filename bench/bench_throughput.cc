@@ -3,31 +3,33 @@
  * Single-thread hot-path throughput bench (DESIGN.md §12): one timed
  * section per attack on the serial event path, so each win is
  * attributable, plus a built-in verdict cross-check between the
- * per-event and batched replay pipelines. Emits schema-validated
- * BENCH_throughput.json (schemas/bench_throughput.schema.json) so CI
- * fails on structural or semantic regressions:
+ * per-event and batched replay pipelines. Emits BENCH_throughput.json
+ * (schemas/bench_throughput.schema.json):
  *
  *  - replay_per_event / replay_batched: the full 64-app registry
  *    replayed through PiftTracker via the per-event TraceSink path
  *    vs the SoA batch pipeline (pre-packed, as the grids use it).
- *  - capture_baseline / capture_decode / capture_fast: live
- *    execution+capture of the registry with the decoded-instruction
- *    cache and event batching off, cache only, and cache+batching.
+ *  - capture_baseline / capture_decode: live execution+capture of
+ *    the registry with the decoded-instruction cache off and on.
  *  - lookup_range_set: branchless binary search microbench on the
  *    sorted range store.
  *  - lookup_storage_probe: TaintStorage (LruSpill) query stream with
  *    a miss-heavy working set over the entry index.
  *
+ * The named checks at the end of main() fail the bench (exit 1);
+ * absolute events/sec is recorded, not judged.
+ *
  * Run: ./build/bench/bench_throughput [--out FILE] [--passes N]
  */
 
+#include <cmath>
 #include <cstring>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/report.hh"
 #include "core/taint_storage.hh"
 #include "sim/batch.hh"
 
@@ -83,15 +85,14 @@ replayVerdicts(const std::vector<analysis::LabelledTrace> &set,
     return verdicts;
 }
 
-/** One live capture of the registry under explicit CPU tuning. */
+/** One live capture of the registry with @p decode_slots cached. */
 uint64_t
-captureRegistry(size_t decode_slots, uint32_t batch_records)
+captureRegistry(size_t decode_slots)
 {
     uint64_t records = 0;
     auto runOne = [&](const droidbench::AppEntry &entry) {
         droidbench::AppContext ctx;
         ctx.cpu.setDecodeCache(decode_slots);
-        ctx.cpu.setBatching(batch_records);
         dalvik::MethodId main = entry.declare(ctx);
         ctx.vm.boot();
         ctx.vm.execute(main);
@@ -182,25 +183,20 @@ main(int argc, char **argv)
                 verdicts_identical ? "identical" : "MISMATCH");
 
     // --- Attack 1: live capture with the decoded-instruction cache
-    // and event batching toggled. Fewer passes: execution dominates.
+    // toggled. Fewer passes: execution dominates.
     const unsigned cap_passes =
         rep_passes >= 10 ? rep_passes / 10 : 1;
-    captureRegistry(0, 0); // warm-up
+    captureRegistry(0); // warm-up
     const uint64_t cap_events = records * cap_passes;
     sections.push_back(
         section("capture_baseline", reps, cap_events, [&] {
             for (unsigned p = 0; p < cap_passes; ++p)
-                captureRegistry(0, 0);
+                captureRegistry(0);
         }));
     sections.push_back(
         section("capture_decode", reps, cap_events, [&] {
             for (unsigned p = 0; p < cap_passes; ++p)
-                captureRegistry(4096, 0);
-        }));
-    sections.push_back(
-        section("capture_fast", reps, cap_events, [&] {
-            for (unsigned p = 0; p < cap_passes; ++p)
-                captureRegistry(4096, sim::default_batch_records);
+                captureRegistry(4096);
         }));
 
     // --- Attack 3 microbenches. Fixed seed: identical streams every
@@ -224,8 +220,7 @@ main(int argc, char **argv)
 
     // The storage stream models the tracker's dominant pattern: a hot
     // loop re-querying a small set of untainted locations. Each probe
-    // searches the index over 64 live entries; the storage keeps no
-    // probe memo, so the hot-probe hit rate reads 0.
+    // searches the index over 64 live entries.
     core::TaintStorageParams sp;
     core::TaintStorage storage(sp);
     for (uint32_t i = 0; i < 64; ++i)
@@ -239,75 +234,73 @@ main(int argc, char **argv)
                 sink += storage.query(1, taint::AddrRange(a, a + 3));
             }
         }));
-    const auto &sstat = storage.stats();
-    double probe_hit_rate = sstat.lookups
-        ? static_cast<double>(sstat.hot_probe_hits) /
-            static_cast<double>(sstat.lookups)
-        : 0.0;
-    std::printf("  hot-probe hit rate: %.1f%% (sink %llu)\n",
-                100.0 * probe_hit_rate,
+    std::printf("  lookup checksum bit: %llu\n",
                 static_cast<unsigned long long>(sink & 1));
 
-    auto find = [&](const char *name) -> const Section & {
-        for (const auto &s : sections)
-            if (s.name == name)
-                return s;
-        pift_panic("missing section %s", name);
-        return sections.front(); // unreachable
+    // Each speedup: its numerator section's events/sec over its
+    // denominator's (section names).
+    struct Speedup
+    {
+        const char *key, *num, *den;
+        double value = 0.0;
     };
-    auto ratio = [](const Section &num, const Section &den) {
-        return den.events_per_sec > 0.0
-            ? num.events_per_sec / den.events_per_sec
-            : 0.0;
+    auto ratio = [&](const Speedup &sp_row) {
+        double num = 0.0, den = 0.0;
+        for (const Section &s : sections) {
+            num = s.name == sp_row.num ? s.events_per_sec : num;
+            den = s.name == sp_row.den ? s.events_per_sec : den;
+        }
+        return den > 0.0 ? num / den : 0.0;
     };
-    const double sp_batched =
-        ratio(find("replay_batched"), find("replay_per_event"));
-    const double sp_decode =
-        ratio(find("capture_decode"), find("capture_baseline"));
-    const double sp_capture =
-        ratio(find("capture_fast"), find("capture_baseline"));
+    Speedup speedups[] = {
+        {"replay_batched_vs_per_event", "replay_batched",
+         "replay_per_event"},
+        {"capture_decode_vs_baseline", "capture_decode",
+         "capture_baseline"}};
+    for (Speedup &sp_row : speedups)
+        sp_row.value = ratio(sp_row);
     std::printf("\nspeedups: batched replay %.2fx, decode cache "
-                "%.2fx, capture fast-path %.2fx\n",
-                sp_batched, sp_decode, sp_capture);
+                "%.2fx\n", speedups[0].value, speedups[1].value);
 
-    std::ofstream os(out_path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     out_path.c_str());
-        return 2;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"bench_throughput\",\n";
-    os << "  \"apps\": " << set.size() << ",\n";
-    os << "  \"records_per_pass\": " << records << ",\n";
-    os << "  \"reps\": " << reps << ",\n";
-    os << "  \"replay_passes_per_rep\": " << rep_passes << ",\n";
-    os << "  \"capture_passes_per_rep\": " << cap_passes << ",\n";
-    os << "  \"verdicts_identical\": "
-       << (verdicts_identical ? "true" : "false") << ",\n";
-    os << "  \"hot_probe_hit_rate\": " << probe_hit_rate << ",\n";
-    os << "  \"speedups\": {\n";
-    os << "    \"replay_batched_vs_per_event\": " << sp_batched
-       << ",\n";
-    os << "    \"capture_decode_vs_baseline\": " << sp_decode << ",\n";
-    os << "    \"capture_fast_vs_baseline\": " << sp_capture << "\n";
-    os << "  },\n";
-    os << "  \"sections\": [\n";
-    for (size_t i = 0; i < sections.size(); ++i) {
+    benchx::Report rep("bench_throughput");
+    rep.field("apps", set.size(), "records_per_pass", records,
+              "reps", reps, "replay_passes_per_rep", rep_passes,
+              "capture_passes_per_rep", cap_passes,
+              "verdicts_identical", verdicts_identical);
+    rep.object("speedups", [&] {
+        for (const Speedup &sp_row : speedups)
+            rep.field(sp_row.key, sp_row.value);
+    });
+    rep.array("sections", sections.size(), [&](size_t i) {
         const Section &s = sections[i];
-        os << "    {\"name\": \"" << s.name << "\", \"events\": "
-           << s.events << ", \"wall_ms\": " << s.wall_ms
-           << ", \"events_per_sec\": " << s.events_per_sec << "}"
-           << (i + 1 < sections.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    os.flush();
-    if (!os) {
-        std::fprintf(stderr, "short write to '%s'\n", out_path.c_str());
-        return 2;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
+        rep.field("name", s.name, "events", s.events,
+                  "wall_ms", s.wall_ms,
+                  "events_per_sec", s.events_per_sec);
+    });
 
-    return verdicts_identical ? 0 : 1;
+    rep.check("verdicts_identical: batched replay reports the "
+              "per-event verdicts",
+              verdicts_identical);
+    const std::vector<std::string> expected = {
+        "replay_per_event", "replay_batched",   "capture_baseline",
+        "capture_decode",   "lookup_range_set", "lookup_storage_probe"};
+    std::vector<std::string> names;
+    for (const Section &s : sections) {
+        names.push_back(s.name);
+        rep.check("sections[" + s.name + "].wall_ms > 0",
+                  s.wall_ms > 0.0);
+    }
+    rep.check("sections are the six expected, in order",
+              names == expected);
+    for (const Speedup &sp_row : speedups) {
+        const double expect = ratio(sp_row);
+        rep.check(std::string("speedups.") + sp_row.key +
+                      " == its section ratio within 1%",
+                  expect > 0.0 &&
+                      std::fabs(sp_row.value - expect) <=
+                          0.01 * expect);
+    }
+    rep.check("speedups.replay_batched_vs_per_event >= 1.0",
+              speedups[0].value >= 1.0);
+    return rep.finish(out_path);
 }

@@ -14,7 +14,10 @@
  *                                joined device-wide window
  *   telemetry [options]          replay the registry under telemetry,
  *                                print a metrics snapshot, write
- *                                BENCH_telemetry.json (+ trace files)
+ *                                BENCH_telemetry.json (+ trace files);
+ *                                exit 1 if instrument names are not
+ *                                unique and sorted or a histogram's
+ *                                buckets do not sum to its count
  *   explain <app> [--pid P]      replay one app under the provenance
  *                                flight recorder and print the causal
  *                                chain (or degradation cause) behind
@@ -49,6 +52,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "analysis/evaluate.hh"
 #include "analysis/offline.hh"
@@ -443,6 +447,24 @@ cmdTelemetry(int argc, char **argv)
                     report.records_replayed),
                 report.wall_ms);
 
+    // The report's invariants: instrument names unique and sorted
+    // (snapshot determinism), and each histogram's bucket counts
+    // summing to its count.
+    std::vector<std::string> failed;
+    for (size_t i = 1; i < snaps.size(); ++i)
+        if (!(snaps[i - 1].name < snaps[i].name)) {
+            failed.push_back("instrument names unique and sorted");
+            break;
+        }
+    for (const auto &s : snaps) {
+        uint64_t total = 0;
+        for (const auto &b : s.buckets)
+            total += b.count;
+        if (s.kind == telemetry::Kind::Histogram && total != s.count)
+            failed.push_back("histogram " + s.name +
+                             ": bucket counts sum to count");
+    }
+
     // Fold the final counter values into the span stream so the
     // Chrome trace carries the instrument names alongside the spans.
     telemetry::sampleRegistryToTracer();
@@ -470,7 +492,9 @@ cmdTelemetry(int argc, char **argv)
         }
         std::printf("wrote %s\n", jsonl_path.c_str());
     }
-    return 0;
+    for (const std::string &name : failed)
+        std::fprintf(stderr, "FAILED check: %s\n", name.c_str());
+    return failed.empty() ? 0 : 1;
 }
 
 /**

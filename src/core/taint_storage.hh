@@ -64,8 +64,6 @@ struct StorageStats
      * coalescing insert fires all params.entries comparators.
      */
     uint64_t entry_compares = 0;
-    /** Always 0: no probe memo sits in front of the lookup. */
-    uint64_t hot_probe_hits = 0;
 };
 
 /** Configuration of the range-entry cache. */

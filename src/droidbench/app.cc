@@ -38,13 +38,11 @@ AppContext::AppContext()
       vm(cpu, dex, heap)
 {
     hub.addSink(&buffer);
-    // Capture publishes per event: SoA batching (DESIGN.md §12) pays
-    // when the sink walks the batch arrays (a tracker), not for raw
-    // capture into TraceBuffer, where the packer is an extra copy —
-    // bench_throughput's capture_fast section measures exactly that.
-    // Callers wanting the live batched pipeline opt in via
-    // cpu.setBatching(); tests/test_batch.cc pins that the captured
-    // trace is byte-identical either way.
+    // Capture publishes per event. SoA batching (DESIGN.md §12) pays
+    // only when the sink walks the batch arrays (a tracker replaying
+    // a packed trace), not for raw capture into TraceBuffer, where
+    // packing is an extra copy: a batched live capture measured
+    // 0.87-0.95x.
 #ifndef NDEBUG
     // Debug builds verify every method — library, framework and app —
     // at registration time; malformed bytecode dies at load, not at

@@ -19,10 +19,6 @@ struct BatchTel
         telemetry::counter("sim.batch.packed_records");
     telemetry::Counter &packed_mem_events =
         telemetry::counter("sim.batch.packed_mem_events");
-    telemetry::Counter &sealed_batches =
-        telemetry::counter("sim.batch.sealed_batches");
-    telemetry::Counter &sealed_records =
-        telemetry::counter("sim.batch.sealed_records");
     telemetry::Counter &replays =
         telemetry::counter("sim.batch.replays");
     telemetry::Counter &batches =
@@ -111,68 +107,6 @@ EventBatch
 PackedTrace::sliceAt(uint32_t first, uint32_t count) const
 {
     return slice(first, count, memCursor(first));
-}
-
-BatchPacker::BatchPacker(uint32_t capacity)
-    : cap(capacity ? capacity : 1)
-{
-    records_.reserve(cap);
-    mem_index_.reserve(cap);
-    pid_.reserve(cap);
-    local_seq_.reserve(cap);
-    pc_.reserve(cap);
-    start_.reserve(cap);
-    end_.reserve(cap);
-    kind_.reserve(cap);
-}
-
-void
-BatchPacker::append(const TraceRecord &rec)
-{
-    const uint32_t pos = static_cast<uint32_t>(records_.size());
-    records_.push_back(rec);
-    if (rec.mem_kind == MemKind::None)
-        return;
-    mem_index_.push_back(pos);
-    pid_.push_back(rec.pid);
-    local_seq_.push_back(rec.local_seq);
-    pc_.push_back(rec.pc);
-    start_.push_back(rec.mem_start);
-    end_.push_back(rec.mem_end);
-    kind_.push_back(static_cast<uint8_t>(rec.mem_kind));
-}
-
-EventBatch
-BatchPacker::seal() const
-{
-    btel().sealed_batches.inc();
-    btel().sealed_records.inc(records_.size());
-    EventBatch b;
-    b.records = records_.data();
-    b.count = static_cast<uint32_t>(records_.size());
-    b.mem_count = static_cast<uint32_t>(mem_index_.size());
-    b.index_base = 0;
-    b.mem_index = mem_index_.data();
-    b.pid = pid_.data();
-    b.local_seq = local_seq_.data();
-    b.pc = pc_.data();
-    b.start = start_.data();
-    b.end = end_.data();
-    b.kind = kind_.data();
-    return b;
-}
-
-void
-BatchPacker::clear()
-{
-    records_.clear();
-    mem_index_.clear();
-    pid_.clear();
-    local_seq_.clear();
-    pc_.clear();
-    start_.clear();
-    end_.clear();
-    kind_.clear();
 }
 
 void

@@ -48,9 +48,8 @@ inline constexpr uint32_t default_batch_records = 1024;
  * batch sliced out of a PackedTrace reuses the trace-wide arrays, so
  * in-batch positions are `mem_index[k] - index_base`.
  *
- * All pointers borrow storage owned by the producer (a PackedTrace or
- * a producer-side scratch buffer) and are valid only for the duration
- * of the onBatch call.
+ * All pointers borrow storage owned by the producer (a PackedTrace)
+ * and are valid only for the duration of the onBatch call.
  */
 struct EventBatch
 {
@@ -110,45 +109,6 @@ class PackedTrace
   private:
     const Trace *src;
     std::vector<uint32_t> mem_index_; //!< record position, ascending
-    std::vector<ProcId> pid_;
-    std::vector<SeqNum> local_seq_;
-    std::vector<Addr> pc_;
-    std::vector<Addr> start_;
-    std::vector<Addr> end_;
-    std::vector<uint8_t> kind_;
-};
-
-/**
- * Producer-side chunk packer for live streams (the CPU's event
- * accumulator): append records, seal into an EventBatch, reuse.
- * The sealed batch borrows this object's storage.
- */
-class BatchPacker
-{
-  public:
-    explicit BatchPacker(uint32_t capacity = default_batch_records);
-
-    /** True when a further append would exceed capacity. */
-    bool full() const { return records_.size() >= cap; }
-
-    bool empty() const { return records_.empty(); }
-
-    uint32_t size() const
-    {
-        return static_cast<uint32_t>(records_.size());
-    }
-
-    void append(const TraceRecord &rec);
-
-    /** View of everything appended since the last clear(). */
-    EventBatch seal() const;
-
-    void clear();
-
-  private:
-    uint32_t cap;
-    std::vector<TraceRecord> records_;
-    std::vector<uint32_t> mem_index_;
     std::vector<ProcId> pid_;
     std::vector<SeqNum> local_seq_;
     std::vector<Addr> pc_;

@@ -82,13 +82,6 @@ Cpu::setDecodeCache(size_t slots)
 }
 
 void
-Cpu::setBatching(uint32_t records)
-{
-    flushBatch();
-    batch_cap = records;
-}
-
-void
 Cpu::loadProgram(isa::Program prog)
 {
     if (prog.insts.empty())
@@ -563,22 +556,7 @@ Cpu::publish(TraceRecord &rec)
     rec.seq = nretired++;
     rec.pid = cur_pid;
     rec.local_seq = local_counts[cur_pid]++;
-    if (batch_cap == 0) {
-        hub.publish(rec);
-        return;
-    }
-    packer.append(rec);
-    if (packer.size() >= batch_cap)
-        flushBatch();
-}
-
-void
-Cpu::flushBatch()
-{
-    if (packer.empty())
-        return;
-    hub.publishBatch(packer.seal());
-    packer.clear();
+    hub.publish(rec);
 }
 
 uint64_t
@@ -618,17 +596,12 @@ Cpu::run(uint64_t max_steps)
             if (!svc)
                 pift_panic("svc #%u with no handler installed",
                            inst->svc_num);
-            // The handler issues control events stamped with the
-            // hub's record count: drain the pending chunk first so
-            // the live interleaving matches per-event publishing.
-            flushBatch();
             svc(*this, inst->svc_num);
         }
     }
     // Reset so an enclosing run() (re-entrant execution from an Svc
     // handler) is not terminated by this loop's halt.
     halted = false;
-    flushBatch();
     return steps;
 }
 

@@ -27,7 +27,6 @@
 #include "isa/assembler.hh"
 #include "isa/inst.hh"
 #include "mem/memory.hh"
-#include "sim/batch.hh"
 #include "sim/trace.hh"
 #include "support/types.hh"
 
@@ -72,16 +71,6 @@ class Cpu
 
     /** Decoded-instruction cache capacity in slots (0 = disabled). */
     size_t decodeCacheSlots() const { return dcache.size(); }
-
-    /**
-     * Publish retired records in chunks of @p records through
-     * EventHub::publishBatch (0 = per-event publish). Any pending
-     * chunk is flushed first. The stream every sink observes is
-     * identical either way: batches are flushed before each Svc trap
-     * handler runs (so software-issued control events interleave
-     * exactly as unbatched) and when run() returns.
-     */
-    void setBatching(uint32_t records);
 
     /** Current value of register @p r (reading pc gives pc+4). */
     uint32_t reg(RegIndex r) const;
@@ -137,7 +126,6 @@ class Cpu
     void execute(const isa::Inst &inst, TraceRecord &rec);
     void publish(TraceRecord &rec);
     const isa::Inst *fetch(Addr addr);
-    void flushBatch();
 
     /** One decoded-instruction cache slot (inst == nullptr: empty). */
     struct DecodeSlot
@@ -167,11 +155,6 @@ class Cpu
     // loadProgram guards the pc→instruction mapping itself.
     std::vector<DecodeSlot> dcache;
     Addr dcache_mask = 0; //!< slot index mask (slots - 1)
-
-    // Live event batching (0 = off; droidbench::AppContext turns it
-    // on). The packer owns the chunk storage reused across flushes.
-    uint32_t batch_cap = 0;
-    BatchPacker packer;
 
     // Hot-path telemetry tallies, published at destruction.
     uint64_t tel_decode_hits = 0;

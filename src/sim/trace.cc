@@ -25,24 +25,9 @@ EventHub::removeSink(TraceSink *sink)
 }
 
 void
-EventHub::publishBatch(const EventBatch &batch)
-{
-    nrecords += batch.count;
-    for (auto *s : sinks)
-        s->onBatch(batch);
-}
-
-void
 TraceBuffer::onRecord(const TraceRecord &rec)
 {
     data.records.push_back(rec);
-}
-
-void
-TraceBuffer::onBatch(const EventBatch &batch)
-{
-    data.records.insert(data.records.end(), batch.records,
-                        batch.records + batch.count);
 }
 
 void

@@ -97,8 +97,8 @@ class TraceSink
     virtual void onRecord(const TraceRecord &rec) = 0;
 
     /**
-     * Called with a chunk of consecutive records when the producer
-     * runs batched (sim/batch.hh). The default unrolls the chunk
+     * Called with a chunk of consecutive records when a trace is
+     * replayed batched (sim/batch.hh). The default unrolls the chunk
      * through onRecord, so per-event sinks are batch-transparent;
      * hot consumers override it with a tight SoA loop. A sink sees
      * each record exactly once — via onRecord or via one onBatch,
@@ -138,13 +138,6 @@ class EventHub
             s->onControl(ev);
     }
 
-    /**
-     * Publish a chunk of @p batch.count records in one fan-out.
-     * Advances recordCount() by the whole chunk up front, exactly as
-     * count publish() calls would have.
-     */
-    void publishBatch(const EventBatch &batch);
-
   private:
     std::vector<TraceSink *> sinks;
     SeqNum nrecords = 0;
@@ -155,7 +148,6 @@ class TraceBuffer : public TraceSink
 {
   public:
     void onRecord(const TraceRecord &rec) override;
-    void onBatch(const EventBatch &batch) override;
     void onControl(const ControlEvent &ev) override;
 
     const Trace &trace() const { return data; }

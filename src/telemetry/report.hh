@@ -5,8 +5,8 @@
  * One JSON document per instrumented run: wall time, replay
  * throughput, the telemetry-on vs telemetry-off comparison when the
  * producer measured one, and the full registry snapshot. The shape is
- * frozen by schemas/bench_telemetry.schema.json (validated in CI by
- * tools/validate_telemetry.py) so successive PRs can diff
+ * frozen by schemas/bench_telemetry.schema.json (checked in CI by
+ * tools/schema_check.py) so successive changes can diff
  * perf-trajectory numbers mechanically.
  */
 

@@ -209,7 +209,6 @@ expectSameStorageStats(const core::StorageStats &a,
     EXPECT_EQ(a.coalesces, b.coalesces);
     EXPECT_EQ(a.max_entries_used, b.max_entries_used);
     EXPECT_EQ(a.entry_compares, b.entry_compares);
-    EXPECT_EQ(a.hot_probe_hits, b.hot_probe_hits);
 }
 
 } // namespace
@@ -461,39 +460,6 @@ TEST(IndexedStorage, RegistryDifferentialAgainstScan)
             EXPECT_TRUE(store.exportState() == ref_store.exportState());
             expectSameStorageStats(store.stats(), ref_store.stats());
         }
-    }
-}
-
-/**
- * Live capture through Cpu::setBatching must produce a byte-identical
- * trace: flushes before every Svc trap keep control events (published
- * inside trap handlers, stamped with hub.recordCount()) interleaved
- * exactly as in per-event publishing. Batch size 3 forces mid-app
- * flushes around nearly every trap.
- */
-TEST(BatchPipeline, LiveCaptureEquivalence)
-{
-    std::vector<droidbench::AppEntry> entries;
-    const auto &apps = droidbench::droidBenchApps();
-    entries.assign(apps.begin(), apps.begin() + 3);
-    entries.push_back(droidbench::malwareApps().front());
-
-    for (const auto &entry : entries) {
-        std::string reference;
-        for (uint32_t records : {0u, 3u, default_batch_records}) {
-            droidbench::AppContext ctx;
-            ctx.cpu.setBatching(records);
-            dalvik::MethodId main = entry.declare(ctx);
-            ctx.vm.boot();
-            ctx.vm.execute(main);
-            std::string image = serialize(ctx.buffer.trace());
-            if (records == 0)
-                reference = image;
-            else
-                EXPECT_EQ(image, reference)
-                    << entry.name << " at batch size " << records;
-        }
-        ASSERT_FALSE(reference.empty());
     }
 }
 

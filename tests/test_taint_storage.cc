@@ -466,8 +466,7 @@ statFields(const core::StorageStats &s)
     return std::make_tuple(s.lookups, s.lookup_hits, s.spill_hits,
                            s.inserts, s.removes, s.evictions, s.dropped,
                            s.saturation_events, s.coalesces,
-                           s.max_entries_used, s.entry_compares,
-                           s.hot_probe_hits);
+                           s.max_entries_used, s.entry_compares);
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Stdlib-only JSON Schema checking shared by the bench validators.
+"""Check a bench report against its JSON schema (stdlib only).
+
+Usage: schema_check.py REPORT SCHEMA
 
 Implements the subset of JSON Schema draft-07 the checked-in schemas
 use (type, enum, anyOf, required, properties, items, minimum,
 minLength, pattern), so CI needs no third-party jsonschema package.
+Only the report's shape is checked here: every check on its values
+is made by the binary that writes it, in its exit code.
 
-Each validator (validate_telemetry.py, validate_parallel.py,
-validate_recovery.py) layers its own semantic checks on top and calls
-run_validator() with them.
+Exit status: 0 valid, 1 invalid (or not JSON), 2 usage or an
+unreadable file.
 """
 
 import json
@@ -76,33 +79,32 @@ def validate(value, schema, path, errors):
                       f"{schema['minimum']}")
 
 
-def run_validator(argv, default_schema, semantic_checks, summarize,
-                  usage):
-    """Shared main(): load report + schema, validate both layers.
-
-    @param semantic_checks callable(report, errors) for the checks a
-           type system cannot express
-    @param summarize callable(report) -> str appended to the OK line
-    @param usage one-line usage string for bad invocations
-    """
-    if len(argv) not in (2, 3):
-        print(usage, file=sys.stderr)
+def main(argv):
+    if len(argv) != 3:
+        print("Usage: schema_check.py REPORT SCHEMA", file=sys.stderr)
         return 2
-    report_path = argv[1]
-    schema_path = argv[2] if len(argv) == 3 else default_schema
-
-    with open(report_path) as f:
-        report = json.load(f)
-    with open(schema_path) as f:
-        schema = json.load(f)
+    report_path, schema_path = argv[1], argv[2]
+    try:
+        with open(schema_path) as f:
+            schema = json.load(f)
+        with open(report_path) as f:
+            report = json.load(f)
+    except OSError as err:
+        print(f"schema_check.py: {err}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as err:
+        print(f"FAIL {report_path}: not JSON: {err}", file=sys.stderr)
+        return 1
 
     errors = []
     validate(report, schema, "$", errors)
-    semantic_checks(report, errors)
-
+    for err in errors:
+        print(f"FAIL {report_path}: {err}", file=sys.stderr)
     if errors:
-        for err in errors:
-            print(f"FAIL {report_path}: {err}", file=sys.stderr)
         return 1
-    print(f"OK {report_path}: schema-valid, {summarize(report)}")
+    print(f"OK {report_path}: valid against {schema_path}")
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
