@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -43,9 +42,11 @@ struct ServiceTel
         telemetry::gauge("service.sessions.active");
     telemetry::Gauge &bytes =
         telemetry::gauge("service.storage.bytes");
+    // checkSinkNow takes well under 1 us on a drained shard, so the
+    // bounds start at 64 ns.
     telemetry::Histogram &sink_latency = telemetry::histogram(
-        "service.sink.latency_us",
-        telemetry::exponentialBounds(1, 2.0, 16));
+        "service.sink.latency_ns",
+        telemetry::exponentialBounds(64, 2.0, 16));
 };
 
 ServiceTel &
@@ -62,6 +63,12 @@ tel()
  * sessions of every pid that hashes here (pid % shards). The mutex
  * guards everything in the struct; per-shard load metrics live here
  * so a hot shard is visible in a telemetry snapshot.
+ *
+ * The queue is a flat buffer: submitMany appends, and every drain
+ * walks it front to back and empties it whole under the mutex, so it
+ * needs no head index or per-event pop. Emptying keeps the capacity,
+ * so once warm no event allocates on the producer thread or frees on
+ * the draining one.
  */
 struct TrackingService::Shard
 {
@@ -92,7 +99,7 @@ struct TrackingService::Shard
 
     using SessionMap = std::map<ProcId, std::unique_ptr<Session>>;
 
-    std::deque<Queued> queue;
+    std::vector<Queued> queue;
     SessionMap sessions; //!< asc pid
     std::set<ProcId> tombstones; //!< shed pids: re-admit = state loss
 
@@ -280,6 +287,11 @@ TrackingService::submitMany(const ServiceEvent *evs, size_t n)
                 }
                 uint64_t tick =
                     clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+                // Grow by doubling up to the bound, never past it.
+                if (sh.queue.size() == sh.queue.capacity())
+                    sh.queue.reserve(std::min(
+                        cfg_.queue_capacity,
+                        std::max<size_t>(1, 2 * sh.queue.capacity())));
                 sh.queue.push_back(Shard::Queued{evs[i], tick});
                 ++sh.accepted;
                 ++accepted_total;
@@ -311,10 +323,18 @@ TrackingService::submitMany(const ServiceEvent *evs, size_t n)
 void
 TrackingService::drainLocked(Shard &sh)
 {
-    size_t batch = sh.queue.size();
-    while (!sh.queue.empty()) {
-        Shard::Queued q = sh.queue.front();
-        sh.queue.pop_front();
+    const size_t batch = sh.queue.size();
+    // Erase what the walk took when it ends, keeping the capacity. A
+    // walk an exception unwinds part-way erases only the events it
+    // started, so none is applied twice.
+    struct Consumed
+    {
+        std::vector<Shard::Queued> &queue;
+        size_t taken = 0;
+        ~Consumed() { queue.erase(queue.begin(), queue.begin() + taken); }
+    } consumed{sh.queue};
+    while (consumed.taken < batch) {
+        const Shard::Queued &q = sh.queue[consumed.taken++];
         Session &ses = sessionLocked(sh, q.ev.pid);
         ses.apply(q.ev);
         sh.journaled(ses);
@@ -468,7 +488,7 @@ TrackingService::checkSinkNow(ProcId pid, Addr start, Addr end,
         sh.journaled(ses);
         ses.touch(clock_.fetch_add(1, std::memory_order_relaxed) + 1);
     }
-    auto dt = std::chrono::duration_cast<std::chrono::microseconds>(
+    auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
     tel().sink_latency.observe(static_cast<uint64_t>(dt));

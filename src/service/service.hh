@@ -66,8 +66,15 @@ namespace pift::service
 /** Service-wide configuration. */
 struct ServiceConfig
 {
-    unsigned shards = 8;          //!< striped-lock ingestion shards
-    size_t queue_capacity = 4096; //!< events buffered per shard
+    unsigned shards = 8; //!< striped-lock ingestion shards
+
+    /**
+     * Events buffered per shard. The queue is a flat buffer, drained
+     * whole under the shard lock; it keeps its capacity, up to
+     * queue_capacity × 40 B per shard, so no event allocates or frees
+     * heap memory between the producer and the draining thread.
+     */
+    size_t queue_capacity = 4096;
 
     /**
      * Aggregate TaintStorage byte ceiling across all sessions;

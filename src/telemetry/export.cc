@@ -37,8 +37,8 @@ phaseTag(TraceEvent::Phase ph)
 void
 writeEventObject(std::ostream &os, const TraceEvent &ev)
 {
-    // The simulator is single-threaded; pid/tid are fixed so every
-    // span lands on one timeline row.
+    // One process; each recording thread gets its own timeline row,
+    // on which its B/E events nest.
     os << "{\"ph\":\"" << phaseTag(ev.ph) << "\"";
     switch (ev.ph) {
       case TraceEvent::Phase::Begin:
@@ -56,7 +56,8 @@ writeEventObject(std::ostream &os, const TraceEvent &ev)
            << "\",\"args\":{\"value\":" << ev.value << "}";
         break;
     }
-    os << ",\"ts\":" << ev.ts_us << ",\"pid\":1,\"tid\":1}";
+    os << ",\"ts\":" << ev.ts_us << ",\"pid\":1,\"tid\":" << ev.tid
+       << "}";
 }
 
 std::string

@@ -2,6 +2,7 @@
 
 #if defined(PIFT_TELEMETRY_ENABLED)
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 
@@ -18,9 +19,18 @@ struct TracerState
     std::vector<TraceEvent> events;
     size_t cap = 1u << 20;
     uint64_t dropped = 0;
-    int depth = 0;
+    std::vector<int> depth; //!< open spans, by thread id (0 unused)
+    size_t open = 0;        //!< open spans across all threads
     std::chrono::steady_clock::time_point t0 =
         std::chrono::steady_clock::now();
+
+    int &
+    depthOf(uint32_t tid)
+    {
+        if (tid >= depth.size())
+            depth.resize(tid + 1, 0);
+        return depth[tid];
+    }
 
     uint64_t
     nowUs() const
@@ -39,6 +49,19 @@ state()
     return s;
 }
 
+/** The calling thread's id once it has recorded an event, else 0. */
+thread_local uint32_t t_tid = 0;
+
+/** The calling thread's id, handed out at its first recorded event. */
+uint32_t
+recordingTid()
+{
+    static std::atomic<uint32_t> next{1};
+    if (!t_tid)
+        t_tid = next.fetch_add(1, std::memory_order_relaxed);
+    return t_tid;
+}
+
 } // anonymous namespace
 
 bool
@@ -46,17 +69,19 @@ Tracer::begin(const std::string &name, const char *cat)
 {
     if (!detail::collecting())
         return false;
+    const uint32_t tid = recordingTid();
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
     // An End needs a slot too; keep one in reserve per open span so a
     // Begin we accept can always be closed.
-    if (s.events.size() + static_cast<size_t>(s.depth) + 1 >= s.cap) {
+    if (s.events.size() + s.open + 1 >= s.cap) {
         ++s.dropped;
         return false;
     }
     s.events.push_back(
-        {TraceEvent::Phase::Begin, name, cat, s.nowUs(), 0.0});
-    ++s.depth;
+        {TraceEvent::Phase::Begin, name, cat, s.nowUs(), 0.0, tid});
+    ++s.depthOf(tid);
+    ++s.open;
     return true;
 }
 
@@ -65,11 +90,13 @@ Tracer::end()
 {
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.depth <= 0)
+    int &depth = s.depthOf(t_tid);
+    if (depth <= 0)
         return;
-    --s.depth;
+    --depth;
+    --s.open;
     s.events.push_back(
-        {TraceEvent::Phase::End, "", "", s.nowUs(), 0.0});
+        {TraceEvent::Phase::End, "", "", s.nowUs(), 0.0, t_tid});
 }
 
 void
@@ -77,14 +104,15 @@ Tracer::instant(const std::string &name, const char *cat)
 {
     if (!detail::collecting())
         return;
+    const uint32_t tid = recordingTid();
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.events.size() + static_cast<size_t>(s.depth) >= s.cap) {
+    if (s.events.size() + s.open >= s.cap) {
         ++s.dropped;
         return;
     }
     s.events.push_back(
-        {TraceEvent::Phase::Instant, name, cat, s.nowUs(), 0.0});
+        {TraceEvent::Phase::Instant, name, cat, s.nowUs(), 0.0, tid});
 }
 
 void
@@ -92,14 +120,15 @@ Tracer::counterSample(const std::string &name, double value)
 {
     if (!detail::collecting())
         return;
+    const uint32_t tid = recordingTid();
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.events.size() + static_cast<size_t>(s.depth) >= s.cap) {
+    if (s.events.size() + s.open >= s.cap) {
         ++s.dropped;
         return;
     }
     s.events.push_back({TraceEvent::Phase::Counter, name, "metric",
-                        s.nowUs(), value});
+                        s.nowUs(), value, tid});
 }
 
 std::vector<TraceEvent>
@@ -123,7 +152,7 @@ Tracer::depth() const
 {
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    return s.depth;
+    return t_tid < s.depth.size() ? s.depth[t_tid] : 0;
 }
 
 void
@@ -133,7 +162,8 @@ Tracer::clear()
     std::lock_guard<std::mutex> lock(s.mutex);
     s.events.clear();
     s.dropped = 0;
-    s.depth = 0;
+    s.depth.clear();
+    s.open = 0;
     s.t0 = std::chrono::steady_clock::now();
 }
 

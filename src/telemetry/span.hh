@@ -4,8 +4,12 @@
  *
  * A Span brackets a unit of work (one tainting window, one app
  * replay, one bench phase) with Begin/End events; Chrome's
- * about:tracing reconstructs the nesting from stream order, so span
- * structure is deterministic even though timestamps are wall-clock.
+ * about:tracing reconstructs the nesting from stream order within
+ * each thread, so span structure is deterministic even though
+ * timestamps are wall-clock. Every event carries a small id of the
+ * thread that recorded it (1 for the first thread that records), and
+ * end() closes the innermost span open on its own thread, so the
+ * spans of parallel pool tasks nest per thread.
  * The tracer also records Instant events (one-off markers) and
  * Counter samples (instrument name → value at a point in time), which
  * is how metrics snapshots become visible on the trace timeline.
@@ -41,6 +45,7 @@ struct TraceEvent
     std::string cat;        //!< Chrome trace category
     uint64_t ts_us = 0;     //!< microseconds since tracer start
     double value = 0.0;     //!< Counter events: sampled value
+    uint32_t tid = 1;       //!< recording thread, 1 = first to record
 };
 
 #if defined(PIFT_TELEMETRY_ENABLED)
@@ -56,7 +61,7 @@ class Tracer
      */
     bool begin(const std::string &name, const char *cat);
 
-    /** Append the End event for the innermost open begin(). */
+    /** Append the End event for this thread's innermost begin(). */
     void end();
 
     /** Append a one-off marker event. */
@@ -71,7 +76,7 @@ class Tracer
     /** Events rejected because the buffer was full. */
     uint64_t dropped() const;
 
-    /** Current nesting depth of open spans. */
+    /** Nesting depth of the spans open on the calling thread. */
     int depth() const;
 
     /** Drop all recorded events and reset the dropped counter. */

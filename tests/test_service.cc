@@ -16,6 +16,7 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <sys/resource.h>
 #include <thread>
@@ -84,27 +85,17 @@ leakyWorkload(ProcId pid)
     return evs;
 }
 
-/**
- * A standalone DurableSession with flush_each = true, fed the events
- * of one service session: what the service's group-committed files
- * must equal byte for byte.
- */
-struct PerRecordReference
+/** A standalone tracker fed the events of one service session. */
+struct SerialReference
 {
     core::TaintStorage storage;
     core::PiftTracker tracker;
-    persist::DurableSession durable;
     ProcId pid;
     SeqNum records_fed = 0;
 
-    PerRecordReference(ProcId pid_, const service::SessionConfig &cfg,
-                       const std::string &dir)
-        : storage(cfg.storage), tracker(cfg.params, storage),
-          durable(storage, tracker, {dir, cfg.snapshot_every, true}),
-          pid(pid_)
+    SerialReference(ProcId pid_, const service::SessionConfig &cfg)
+        : storage(cfg.storage), tracker(cfg.params, storage), pid(pid_)
     {
-        EXPECT_TRUE(durable.start().ok());
-        tracker.setJournal(&durable);
     }
 
     /** Session::apply's translation of one service event. */
@@ -136,6 +127,33 @@ struct PerRecordReference
         ctl.end = ev.end;
         ctl.id = ev.id;
         tracker.onControl(ctl);
+    }
+
+    /** The verdict a sink check over [start, end] gets now. */
+    core::SinkVerdict
+    check(Addr start, Addr end, uint32_t id)
+    {
+        apply(ctlEv(pid, EventKind::Sink, start, end, id));
+        return tracker.sinkResults().back().verdict;
+    }
+};
+
+/**
+ * A standalone DurableSession with flush_each = true, fed the events
+ * of one service session: what the service's group-committed files
+ * must equal byte for byte.
+ */
+struct PerRecordReference : SerialReference
+{
+    persist::DurableSession durable;
+
+    PerRecordReference(ProcId pid_, const service::SessionConfig &cfg,
+                       const std::string &dir)
+        : SerialReference(pid_, cfg),
+          durable(storage, tracker, {dir, cfg.snapshot_every, true})
+    {
+        EXPECT_TRUE(durable.start().ok());
+        tracker.setJournal(&durable);
     }
 };
 
@@ -372,6 +390,135 @@ TEST(ServiceBackpressure, ClearAcceptedAfterLossRetiresIt)
     svc.pump();
     EXPECT_EQ(svc.checkSinkNow(5, 0x9000, 0x9003, 8),
               core::SinkVerdict::Clean);
+}
+
+TEST(ServiceBackpressure, RefusalInsideARunKeepsTheAcceptedPrefix)
+{
+    // One submitMany run over one shard crosses the queue bound part
+    // way. The queue takes exactly the prefix that fits; every later
+    // event is refused and marks its pid lost, each drawing the next
+    // tick. Pid 1 appears only in the prefix, pid 4 only after it,
+    // pids 2 and 3 on both sides; the prefix holds a Clear for pid 2
+    // at the larger bounds.
+    for (size_t cap : {size_t{1}, size_t{3}, size_t{4096}}) {
+        SCOPED_TRACE("queue_capacity " + std::to_string(cap));
+        service::ServiceConfig cfg;
+        cfg.shards = 1;
+        cfg.queue_capacity = cap;
+        service::TrackingService svc(cfg);
+
+        std::vector<ServiceEvent> evs;
+        SeqNum lseq[5] = {};
+        auto push = [&](ProcId pid) {
+            const Addr base = 0x10000u + pid * 0x10000u;
+            const SeqNum k = lseq[pid]++;
+            const Addr off = (k / 4 % 16) * 64;
+            switch (k % 4) {
+              case 0:
+                evs.push_back(ctlEv(pid, EventKind::Source, base + off,
+                                    base + off + 63, 1));
+                break;
+              case 1:
+                evs.push_back(memEv(pid, EventKind::Load, base + off,
+                                    base + off + 3, k));
+                break;
+              case 2:
+                evs.push_back(memEv(pid, EventKind::Store,
+                                    base + 4096 + off,
+                                    base + 4099 + off, k + 1));
+                break;
+              default:
+                evs.push_back(memEv(pid, EventKind::Load, base + 8192,
+                                    base + 8195, k + 8));
+                break;
+            }
+        };
+        for (size_t i = 0; i < cap; ++i) {
+            push(static_cast<ProcId>(1 + i % 3));
+            if (i == cap / 2 && cap > 3)
+                evs.push_back(ctlEv(2, EventKind::Clear, 0, 0, 0));
+        }
+        const size_t accepted = std::min(cap, evs.size());
+        evs.resize(accepted);
+        for (size_t i = 0; i < 9; ++i)
+            push(i == 4 ? 4 : static_cast<ProcId>(2 + i % 2));
+
+        ASSERT_EQ(svc.submitMany(evs.data(), evs.size()), accepted);
+        EXPECT_EQ(svc.clock(), evs.size());
+        auto st = svc.stats();
+        EXPECT_EQ(st.accepted, accepted);
+        EXPECT_EQ(st.overflowed, evs.size() - accepted);
+        EXPECT_EQ(st.loss_marks, evs.size() - accepted);
+
+        // Before the drain only the refused pids have sessions, each
+        // degraded and last active at its last refusal's tick.
+        std::map<ProcId, uint64_t> last_refusal;
+        for (size_t i = accepted; i < evs.size(); ++i)
+            last_refusal[evs[i].pid] = i + 1;
+        auto infos = svc.sessions();
+        ASSERT_EQ(infos.size(), last_refusal.size());
+        for (const auto &info : infos) {
+            EXPECT_TRUE(info.degraded) << info.pid;
+            EXPECT_EQ(info.last_active, last_refusal[info.pid])
+                << info.pid;
+            EXPECT_EQ(info.events, 0u) << info.pid;
+        }
+        svc.pump();
+
+        // The serial reference: each pid's accepted events, then a
+        // loss mark for each refusal, which postdates all of them.
+        for (ProcId pid = 1; pid <= 4; ++pid) {
+            ASSERT_EQ(svc.pidState(pid), service::PidState::Active);
+            SerialReference ref(pid, cfg.session);
+            for (size_t i = 0; i < accepted; ++i)
+                if (evs[i].pid == pid)
+                    ref.apply(evs[i]);
+            for (size_t i = accepted; i < evs.size(); ++i)
+                if (evs[i].pid == pid)
+                    ref.tracker.noteStreamLoss(pid);
+            const Addr base = 0x10000u + pid * 0x10000u;
+            uint32_t id = 100;
+            for (Addr off : {Addr{0}, Addr{4096}, Addr{8192},
+                             Addr{0x8000}}) {
+                for (Addr at : {base + off, base + off + 64 * 15}) {
+                    EXPECT_EQ(svc.checkSinkNow(pid, at, at + 3, id),
+                              ref.check(at, at + 3, id))
+                        << "pid " << pid << " at " << at;
+                    ++id;
+                }
+            }
+        }
+        // Pid 1 saw no refusal: its answers are exact and undegraded.
+        for (const auto &info : svc.sessions())
+            EXPECT_EQ(info.degraded, info.pid != 1) << info.pid;
+        EXPECT_EQ(svc.stats().drained, accepted);
+    }
+}
+
+TEST(ServiceTelemetry, SinkLatencyResolvesChecksUnderAMicrosecond)
+{
+    // checkSinkNow on a drained shard takes well under a microsecond;
+    // the histogram records nanoseconds from a 64 ns first bound, so
+    // such checks spread over its buckets instead of all reading 0.
+    if (!telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    service::TrackingService svc;
+    for (const auto &ev : leakyWorkload(3))
+        ASSERT_TRUE(svc.submit(ev));
+    svc.pump();
+    // The service registered the histogram with its bounds by now.
+    auto &h = telemetry::histogram("service.sink.latency_ns");
+    ASSERT_EQ(h.bounds().size(), 16u);
+    EXPECT_EQ(h.bounds().front(), 64u);
+    EXPECT_EQ(h.bounds().back(), 64u << 15);
+    const uint64_t count0 = h.count();
+    const uint64_t first0 = h.bucketCount(0);
+    const unsigned n = 200;
+    const Addr base = 0x10000u + 3 * 0x10000u;
+    for (unsigned i = 0; i < n; ++i)
+        (void)svc.checkSinkNow(3, base + 4096, base + 4099, i);
+    EXPECT_EQ(h.count() - count0, n);
+    EXPECT_LT(h.bucketCount(0) - first0, n);
 }
 
 TEST(ServiceThreaded, NarrowPoolMultiplexesAllShards)
@@ -990,6 +1137,66 @@ TEST(ServiceStress, DurableGroupCommitUnderConcurrency)
         svc.detach(pid);
     expectRecoverable("detached");
     std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceStress, QueueRefillsAcrossDrains)
+{
+    // The TSan target for the flat shard queue: producers keep small
+    // queues full while the workers empty them, so every queue fills
+    // and drains many times over. Every accepted event must be
+    // applied exactly once, whatever the interleaving.
+    for (size_t cap : {size_t{1}, size_t{4}, size_t{16}}) {
+        SCOPED_TRACE("queue_capacity " + std::to_string(cap));
+        service::ServiceConfig cfg;
+        cfg.shards = 2;
+        cfg.queue_capacity = cap;
+        service::TrackingService svc(cfg);
+        exec::ThreadPool pool(cfg.shards + 1);
+        std::thread workers([&] { svc.runWorkers(pool); });
+
+        // Each producer pushes until 10x the bound of every shard got
+        // through, in runs that span pids of both shards.
+        const uint64_t target = 10 * cap * cfg.shards;
+        auto producer = [&](ProcId first_pid) {
+            uint64_t got = 0;
+            SeqNum lseq = 0;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (got < target &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::vector<ServiceEvent> run;
+                for (ProcId pid = first_pid; pid < first_pid + 3; ++pid) {
+                    const Addr base = 0x10000u + pid * 0x10000u;
+                    ++lseq;
+                    run.push_back(
+                        memEv(pid, EventKind::Load, base, base + 3, lseq));
+                    run.push_back(memEv(pid, EventKind::Store, base + 64,
+                                        base + 67, lseq));
+                }
+                const size_t n = svc.submitMany(run.data(), run.size());
+                got += n;
+                if (n < run.size())
+                    std::this_thread::yield();
+            }
+            EXPECT_GE(got, target);
+        };
+        std::vector<std::thread> producers;
+        for (ProcId p = 0; p < 3; ++p)
+            producers.emplace_back(producer, 1 + 3 * p);
+        for (auto &t : producers)
+            t.join();
+        svc.stop();
+        workers.join();
+
+        auto st = svc.stats();
+        EXPECT_GE(st.accepted, 3 * target);
+        EXPECT_EQ(st.submitted, st.accepted + st.overflowed);
+        EXPECT_EQ(st.drained, st.accepted);
+        uint64_t applied = 0;
+        for (const auto &info : svc.sessions())
+            applied += info.events;
+        EXPECT_EQ(applied, st.accepted);
+    }
 }
 
 TEST(ServiceStress, PumpModeDeterministicAcrossJobs)

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <barrier>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "support/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -257,6 +261,79 @@ TEST_F(TelemetryTest, SpanNestingSurvivesChromeExport)
     // Stream order preserved: outer begins before inner.
     EXPECT_LT(json.find("\"name\":\"outer\""),
               json.find("\"name\":\"inner\""));
+    // The first thread that records is thread 1, so a trace recorded
+    // on one thread exports as it did before events had a thread.
+    for (const auto &ev : events)
+        EXPECT_EQ(ev.tid, 1u);
+    EXPECT_EQ(countOf(json, "\"pid\":1,\"tid\":1}"), 5u);
+}
+
+TEST_F(TelemetryTest, OverlappingSpansOfTwoThreadsNestPerThread)
+{
+    // Two threads hold spans open at the same time, so their Begin
+    // and End events interleave in the one stream. Each End closes
+    // its own thread's innermost span, and both exports carry the
+    // thread's id, so the B/E events of every tid nest.
+    tel::tracer().instant("main", "test");
+    std::barrier sync(2);
+    auto worker = [&](const std::string &name) {
+        tel::Span outer(name + ".outer", "test");
+        sync.arrive_and_wait(); // both outer spans open
+        {
+            tel::Span inner(name + ".inner", "test");
+            sync.arrive_and_wait(); // both inner spans open
+            EXPECT_EQ(tel::tracer().depth(), 2);
+        }
+        sync.arrive_and_wait(); // both inner spans closed
+        EXPECT_EQ(tel::tracer().depth(), 1);
+    };
+    std::thread a(worker, "a"), b(worker, "b");
+    a.join();
+    b.join();
+    EXPECT_EQ(tel::tracer().depth(), 0);
+
+    auto events = tel::tracer().events();
+    ASSERT_EQ(events.size(), 9u);
+    EXPECT_EQ(events[0].tid, 1u);
+    // Per tid: the names its Begin events open, as a stack.
+    std::map<uint32_t, std::vector<std::string>> open;
+    size_t max_open_threads = 0;
+    for (const auto &ev : events) {
+        if (ev.ph == tel::TraceEvent::Phase::Begin) {
+            // A thread's first Begin opens its outer span.
+            if (open[ev.tid].empty())
+                EXPECT_NE(ev.name.find(".outer"), std::string::npos);
+            else
+                EXPECT_EQ(ev.name.substr(0, 1),
+                          open[ev.tid].back().substr(0, 1));
+            open[ev.tid].push_back(ev.name);
+        } else if (ev.ph == tel::TraceEvent::Phase::End) {
+            ASSERT_FALSE(open[ev.tid].empty()) << "tid " << ev.tid;
+            open[ev.tid].pop_back();
+        }
+        size_t busy = 0;
+        for (const auto &kv : open)
+            busy += !kv.second.empty();
+        max_open_threads = std::max(max_open_threads, busy);
+    }
+    EXPECT_EQ(max_open_threads, 2u) << "the spans did not overlap";
+    ASSERT_EQ(open.size(), 2u);
+    for (const auto &kv : open) {
+        EXPECT_NE(kv.first, 1u);
+        EXPECT_TRUE(kv.second.empty()) << "tid " << kv.first;
+    }
+
+    // Both exports write each event's own tid.
+    std::ostringstream chrome, jsonl;
+    tel::writeChromeTrace(chrome, events);
+    tel::writeJsonl(jsonl, events);
+    for (const auto &kv : open) {
+        const std::string tag =
+            "\"tid\":" + std::to_string(kv.first) + "}";
+        EXPECT_EQ(countOf(chrome.str(), tag), 4u);
+        EXPECT_EQ(countOf(jsonl.str(), tag), 4u);
+    }
+    EXPECT_EQ(countOf(jsonl.str(), "\"tid\":1}"), 1u);
 }
 
 TEST_F(TelemetryTest, TracerBoundsBufferAndCountsDrops)
