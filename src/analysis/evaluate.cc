@@ -286,6 +286,42 @@ windowBoundSearch(const std::vector<LabelledTrace> &set, int ni_hi,
 namespace
 {
 
+/**
+ * Samples the Figure 15/16 series from the tracker's journal. Every
+ * effective taint or untaint is journaled before anything else
+ * changes, so a record after which the op count moved stamps exactly
+ * that op: its cursor, the store's size and the count after it.
+ */
+class OverheadSampler : public core::MutationJournal
+{
+  public:
+    OverheadSampler(const core::PiftTracker &tracker,
+                    const core::TaintStore &store, OverheadResult &out)
+        : tracker(tracker), store(store), out(out)
+    {
+    }
+
+    void
+    append(const core::JournalRecord &rec) override
+    {
+        const core::TrackerStats &stats = tracker.stats();
+        const uint64_t ops = stats.taint_ops + stats.untaint_ops;
+        if (ops == last_ops)
+            return;
+        last_ops = ops;
+        out.tainted_bytes.record(rec.records_seen,
+                                 static_cast<double>(store.bytes()));
+        out.cumulative_ops.record(rec.records_seen,
+                                  static_cast<double>(ops));
+    }
+
+  private:
+    const core::PiftTracker &tracker;
+    const core::TaintStore &store;
+    OverheadResult &out;
+    uint64_t last_ops = 0;
+};
+
 OverheadResult
 measureOverheadImpl(const sim::PackedTrace &packed,
                     const core::PiftParams &params)
@@ -294,15 +330,8 @@ measureOverheadImpl(const sim::PackedTrace &packed,
     OverheadResult result;
     core::IdealRangeStore store;
     core::PiftTracker tracker(params, store);
-    tracker.setOpObserver(
-        [&result](SeqNum records, const core::TrackerStats &stats,
-                  const core::TaintStore &st) {
-            result.tainted_bytes.record(records,
-                                        static_cast<double>(st.bytes()));
-            result.cumulative_ops.record(
-                records, static_cast<double>(stats.taint_ops +
-                                             stats.untaint_ops));
-        });
+    OverheadSampler sampler(tracker, store, result);
+    tracker.setJournal(&sampler);
     sim::replayBatched(packed, tracker);
     result.max_tainted_bytes = tracker.stats().max_tainted_bytes;
     result.max_ranges = tracker.stats().max_ranges;

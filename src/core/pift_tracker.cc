@@ -77,14 +77,12 @@ PiftTracker::journalEvent(JournalRecord rec)
 }
 
 void
-PiftTracker::afterOp(SeqNum records)
+PiftTracker::afterOp()
 {
     stat.max_tainted_bytes = std::max(stat.max_tainted_bytes,
                                       store.bytes());
     stat.max_ranges = std::max<uint64_t>(stat.max_ranges,
                                          store.rangeCount());
-    if (observer)
-        observer(records, stat, store);
 }
 
 void
@@ -173,7 +171,7 @@ PiftTracker::handleMem(ProcId pid, SeqNum local_seq,
             ++stat.taint_ops;
             if constexpr (telemetry::compiledIn())
                 ++tel_stores_tainted;
-            afterOp(records_seen);
+            afterOp();
         }
         PIFT_PROV(recorder_,
                   record(grew ? provenance::ProvKind::TaintWrite
@@ -195,7 +193,7 @@ PiftTracker::handleMem(ProcId pid, SeqNum local_seq,
             ++stat.untaint_ops;
             if constexpr (telemetry::compiledIn())
                 ++tel_stores_untainted;
-            afterOp(records_seen);
+            afterOp();
             PIFT_PROV(
                 recorder_,
                 record(provenance::ProvKind::Untaint,
@@ -229,8 +227,8 @@ PiftTracker::onBatch(const sim::EventBatch &batch)
 {
     // Tight SoA loop over only the memory events. records_seen is
     // advanced to each event's per-event value (count of records up
-    // to and including it) before handling, so journal stamps and
-    // observer callbacks match the unbatched path byte for byte.
+    // to and including it) before handling, so journal and provenance
+    // stamps match the unbatched path byte for byte.
     const SeqNum base = records_seen;
     for (uint32_t k = 0; k < batch.mem_count; ++k) {
         records_seen =
@@ -255,7 +253,7 @@ PiftTracker::onControl(const sim::ControlEvent &ev)
       case sim::ControlKind::RegisterSource:
         if (store.insert(ev.pid, range)) {
             ++stat.taint_ops;
-            afterOp(records_seen);
+            afterOp();
         }
         PIFT_PROV(recorder_,
                   record(provenance::ProvKind::SourceRead,

@@ -26,7 +26,6 @@
 #define PIFT_CORE_PIFT_TRACKER_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -139,15 +138,6 @@ class PiftTracker : public sim::TraceSink
 {
   public:
     /**
-     * Called after every effective taint/untaint operation with the
-     * record count so far; benches sample tainted-bytes/op-count
-     * time series through this hook.
-     */
-    using OpObserver = std::function<void(SeqNum records,
-                                          const TrackerStats &,
-                                          const TaintStore &)>;
-
-    /**
      * @param params window configuration
      * @param store taint-state backend (not owned)
      */
@@ -166,8 +156,8 @@ class PiftTracker : public sim::TraceSink
      * Batched fast path (DESIGN.md §12): iterate the chunk's memory-
      * event SoA arrays directly, skipping non-memory records without
      * touching them. Byte-identical to count onRecord calls — the
-     * records_seen cursor (and so journal stamps and observer
-     * callbacks) is advanced per event exactly as the per-event path
+     * records_seen cursor (and so every journal and provenance
+     * stamp) is advanced per event exactly as the per-event path
      * would.
      */
     void onBatch(const sim::EventBatch &batch) override;
@@ -204,9 +194,6 @@ class PiftTracker : public sim::TraceSink
      * whole-state loss was declared.
      */
     bool degraded(ProcId pid) const;
-
-    /** Install the per-operation observer (may be empty). */
-    void setOpObserver(OpObserver obs) { observer = std::move(obs); }
 
     /**
      * Install a mutation journal (may be null to detach). The tracker
@@ -250,7 +237,7 @@ class PiftTracker : public sim::TraceSink
     /**
      * Replace windows, loss flags, sink results and the event cursor
      * with @p state. Statistics are reset (counters restart at zero);
-     * the journal and observer hooks are kept.
+     * the journal, budget listener and recorder are kept.
      */
     void restoreState(const TrackerState &state);
 
@@ -277,7 +264,8 @@ class PiftTracker : public sim::TraceSink
         unsigned used = 0;    //!< propagations consumed in this TW
     };
 
-    void afterOp(SeqNum records);
+    /** Fold the store's size into the running maxima. */
+    void afterOp();
 
     /** Emit a journal record stamped with the current cursor. */
     void journalEvent(JournalRecord rec);
@@ -316,7 +304,6 @@ class PiftTracker : public sim::TraceSink
     std::vector<SinkResult> sinks;
     SeqNum records_seen = 0;
     uint64_t controls_seen = 0;
-    OpObserver observer;
     MutationJournal *journal_ = nullptr;
     BudgetListener *budget_listener_ = nullptr;
 #if defined(PIFT_PROVENANCE_ENABLED)

@@ -38,8 +38,6 @@ struct ServiceTel
         telemetry::counter("service.sessions.expired");
     telemetry::Counter &evicted =
         telemetry::counter("service.sessions.evicted");
-    telemetry::Gauge &active =
-        telemetry::gauge("service.sessions.active");
     telemetry::Gauge &bytes =
         telemetry::gauge("service.storage.bytes");
     // checkSinkNow takes well under 1 us on a drained shard, so the

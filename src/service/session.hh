@@ -18,6 +18,7 @@
 #ifndef PIFT_SERVICE_SESSION_HH
 #define PIFT_SERVICE_SESSION_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,7 +122,16 @@ class Session
 
     /** Logical-clock tick of the last ingested event. */
     uint64_t lastActive() const { return last_active_; }
-    void touch(uint64_t tick) { last_active_ = tick; }
+
+    /**
+     * Note activity at @p tick. Keeps the larger tick: a drain applies
+     * queued events whose ticks predate a refused event's loss mark.
+     */
+    void
+    touch(uint64_t tick)
+    {
+        last_active_ = std::max(last_active_, tick);
+    }
 
     uint64_t eventsApplied() const { return events_; }
 

@@ -5,23 +5,6 @@
 #include "support/logging.hh"
 #include "telemetry/registry.hh"
 
-/*
- * Interpreter dispatch selection (DESIGN.md §12). On GCC/Clang the
- * execute loop uses computed-goto (token-threaded) dispatch in the
- * style of Dalvik's mterp: a static table of label addresses indexed
- * by opcode, so each handler ends in an indirect jump the branch
- * predictor can learn per-site, instead of funnelling every opcode
- * through one switch jump. -DPIFT_PORTABLE_DISPATCH=1 (or a non-GNU
- * compiler) falls back to the plain switch; the two are behaviourally
- * identical and CI builds both.
- */
-#if !defined(PIFT_PORTABLE_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define PIFT_THREADED_DISPATCH 1
-#else
-#define PIFT_THREADED_DISPATCH 0
-#endif
-
 namespace pift::sim
 {
 
@@ -234,21 +217,6 @@ effectiveAddress(std::array<uint32_t, 16> &regs,
 
 } // anonymous namespace
 
-/*
- * One handler body per opcode group, written once and compiled under
- * either dispatch mode: PIFT_OP opens a handler (a goto label or a
- * case label) and PIFT_END leaves it (jump past the dispatch block or
- * break). Handler bodies must keep their own braces when they declare
- * locals, exactly as switch cases must.
- */
-#if PIFT_THREADED_DISPATCH
-#define PIFT_OP(name) lbl_##name:
-#define PIFT_END goto lbl_dispatch_done
-#else
-#define PIFT_OP(name) case isa::Op::name:
-#define PIFT_END break
-#endif
-
 void
 Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
 {
@@ -288,166 +256,143 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
             rec.src[n++] = inst.op2.reg;
     };
 
-#if PIFT_THREADED_DISPATCH
-    // Label-address table in exact isa::Op order (NumOps entries);
-    // shared handlers repeat their label. Opcodes come from the
-    // assembler and are always < NumOps, so the index needs no guard
-    // (the portable build's switch default still panics, keeping the
-    // unimplemented-opcode diagnostic covered).
-    static const void *const optable[static_cast<size_t>(
-        Op::NumOps)] = {
-        &&lbl_Nop,  &&lbl_Mov,  &&lbl_Mvn,  &&lbl_Add,  &&lbl_Sub,
-        &&lbl_Rsb,  &&lbl_Mul,  &&lbl_And,  &&lbl_Orr,  &&lbl_Eor,
-        &&lbl_Bic,  &&lbl_Lsl,  &&lbl_Lsr,  &&lbl_Asr,  &&lbl_Ubfx,
-        &&lbl_Sbfx, &&lbl_Sxth, &&lbl_Uxth, &&lbl_Uxtb, &&lbl_Cmp,
-        &&lbl_Cmn,  &&lbl_Tst,  &&lbl_B,    &&lbl_Bl,   &&lbl_Bx,
-        &&lbl_Ldr,  &&lbl_Ldr,  &&lbl_Ldr,  &&lbl_Ldrd, &&lbl_Str,
-        &&lbl_Str,  &&lbl_Str,  &&lbl_Strd, &&lbl_Ldm,  &&lbl_Stm,
-        &&lbl_Svc,  &&lbl_Halt,
-    };
-    goto *optable[static_cast<size_t>(inst.op)];
-#else
     switch (inst.op) {
-#endif
+      case Op::Nop:
+        break;
 
-    PIFT_OP(Nop)
-        PIFT_END;
-
-    PIFT_OP(Mov)
+      case Op::Mov:
         src_alu();
         alu_result(readOperand2(inst.op2), inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Mvn)
+        break;
+      case Op::Mvn:
         src_alu();
         alu_result(~readOperand2(inst.op2), inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Add) {
+        break;
+      case Op::Add: {
         src_alu();
         uint32_t a = regs[inst.rn], b = readOperand2(inst.op2);
         alu_result(inst.set_flags ? add_flags(a, b) : a + b, false);
-        PIFT_END;
-    }
-    PIFT_OP(Sub) {
+        break;
+      }
+      case Op::Sub: {
         src_alu();
         uint32_t a = regs[inst.rn], b = readOperand2(inst.op2);
         alu_result(inst.set_flags ? sub_flags(a, b) : a - b, false);
-        PIFT_END;
-    }
-    PIFT_OP(Rsb) {
+        break;
+      }
+      case Op::Rsb: {
         src_alu();
         uint32_t a = regs[inst.rn], b = readOperand2(inst.op2);
         alu_result(b - a, inst.set_flags);
-        PIFT_END;
-    }
-    PIFT_OP(Mul) {
+        break;
+      }
+      case Op::Mul: {
         src_alu();
         alu_result(regs[inst.rn] * readOperand2(inst.op2),
                    inst.set_flags);
-        PIFT_END;
-    }
-    PIFT_OP(And)
+        break;
+      }
+      case Op::And:
         src_alu();
         alu_result(regs[inst.rn] & readOperand2(inst.op2),
                    inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Orr)
+        break;
+      case Op::Orr:
         src_alu();
         alu_result(regs[inst.rn] | readOperand2(inst.op2),
                    inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Eor)
+        break;
+      case Op::Eor:
         src_alu();
         alu_result(regs[inst.rn] ^ readOperand2(inst.op2),
                    inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Bic)
+        break;
+      case Op::Bic:
         src_alu();
         alu_result(regs[inst.rn] & ~readOperand2(inst.op2),
                    inst.set_flags);
-        PIFT_END;
-    PIFT_OP(Lsl) {
+        break;
+      case Op::Lsl: {
         src_alu();
         uint32_t sh = readOperand2(inst.op2) & 0xff;
         alu_result(sh >= 32 ? 0 : regs[inst.rn] << sh, inst.set_flags);
-        PIFT_END;
-    }
-    PIFT_OP(Lsr) {
+        break;
+      }
+      case Op::Lsr: {
         src_alu();
         uint32_t sh = readOperand2(inst.op2) & 0xff;
         alu_result(sh >= 32 ? 0 : regs[inst.rn] >> sh, inst.set_flags);
-        PIFT_END;
-    }
-    PIFT_OP(Asr) {
+        break;
+      }
+      case Op::Asr: {
         src_alu();
         uint32_t sh = readOperand2(inst.op2) & 0xff;
         alu_result(static_cast<uint32_t>(
                        static_cast<int32_t>(regs[inst.rn]) >>
                        (sh >= 32 ? 31 : sh)),
                    inst.set_flags);
-        PIFT_END;
-    }
+        break;
+      }
 
-    PIFT_OP(Ubfx) {
+      case Op::Ubfx: {
         rec.src[0] = inst.rn;
         uint32_t mask = inst.bit_width >= 32
             ? 0xffffffffu : ((1u << inst.bit_width) - 1);
         alu_result((regs[inst.rn] >> inst.bit_lsb) & mask, false);
-        PIFT_END;
-    }
-    PIFT_OP(Sbfx) {
+        break;
+      }
+      case Op::Sbfx: {
         rec.src[0] = inst.rn;
         uint32_t mask = inst.bit_width >= 32
             ? 0xffffffffu : ((1u << inst.bit_width) - 1);
         uint32_t v = (regs[inst.rn] >> inst.bit_lsb) & mask;
         uint32_t sign = 1u << (inst.bit_width - 1);
         alu_result((v ^ sign) - sign, false);
-        PIFT_END;
-    }
-    PIFT_OP(Sxth)
+        break;
+      }
+      case Op::Sxth:
         rec.src[0] = inst.rn;
         alu_result(static_cast<uint32_t>(static_cast<int32_t>(
                        static_cast<int16_t>(regs[inst.rn] & 0xffff))),
                    false);
-        PIFT_END;
-    PIFT_OP(Uxth)
+        break;
+      case Op::Uxth:
         rec.src[0] = inst.rn;
         alu_result(regs[inst.rn] & 0xffff, false);
-        PIFT_END;
-    PIFT_OP(Uxtb)
+        break;
+      case Op::Uxtb:
         rec.src[0] = inst.rn;
         alu_result(regs[inst.rn] & 0xff, false);
-        PIFT_END;
+        break;
 
-    PIFT_OP(Cmp)
+      case Op::Cmp:
         src_alu();
         sub_flags(regs[inst.rn], readOperand2(inst.op2));
-        PIFT_END;
-    PIFT_OP(Cmn)
+        break;
+      case Op::Cmn:
         src_alu();
         add_flags(regs[inst.rn], readOperand2(inst.op2));
-        PIFT_END;
-    PIFT_OP(Tst)
+        break;
+      case Op::Tst:
         src_alu();
         setNZ(regs[inst.rn] & readOperand2(inst.op2));
-        PIFT_END;
+        break;
 
-    PIFT_OP(B)
+      case Op::B:
         regs[reg_pc] = inst.target;
-        PIFT_END;
-    PIFT_OP(Bl)
+        break;
+      case Op::Bl:
         regs[reg_lr] = rec.pc + isa::inst_bytes;
         regs[reg_pc] = inst.target;
-        PIFT_END;
-    PIFT_OP(Bx)
+        break;
+      case Op::Bx:
         rec.src[0] = inst.op2.reg;
         regs[reg_pc] = regs[inst.op2.reg];
-        PIFT_END;
+        break;
 
-#if !PIFT_THREADED_DISPATCH
-    PIFT_OP(Ldrh)
-    PIFT_OP(Ldrb)
-#endif
-    PIFT_OP(Ldr) {
+      case Op::Ldrh:
+      case Op::Ldrb:
+      case Op::Ldr: {
         Addr ea = effectiveAddress(regs, inst.mem);
         unsigned bytes = isa::transferBytes(inst.op);
         pift_assert(inst.rd != reg_pc, "load to pc unsupported");
@@ -456,9 +401,9 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Load;
         rec.mem_start = ea;
         rec.mem_end = ea + bytes - 1;
-        PIFT_END;
-    }
-    PIFT_OP(Ldrd) {
+        break;
+      }
+      case Op::Ldrd: {
         Addr ea = effectiveAddress(regs, inst.mem);
         pift_assert(inst.rd + 1 < 15, "ldrd register pair out of range");
         regs[inst.rd] = mem_ref.read32(ea);
@@ -468,13 +413,11 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Load;
         rec.mem_start = ea;
         rec.mem_end = ea + 7;
-        PIFT_END;
-    }
-#if !PIFT_THREADED_DISPATCH
-    PIFT_OP(Strh)
-    PIFT_OP(Strb)
-#endif
-    PIFT_OP(Str) {
+        break;
+      }
+      case Op::Strh:
+      case Op::Strb:
+      case Op::Str: {
         Addr ea = effectiveAddress(regs, inst.mem);
         unsigned bytes = isa::transferBytes(inst.op);
         mem_ref.write(ea, regs[inst.rd], bytes);
@@ -482,9 +425,9 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Store;
         rec.mem_start = ea;
         rec.mem_end = ea + bytes - 1;
-        PIFT_END;
-    }
-    PIFT_OP(Strd) {
+        break;
+      }
+      case Op::Strd: {
         Addr ea = effectiveAddress(regs, inst.mem);
         pift_assert(inst.rd + 1 < 15, "strd register pair out of range");
         mem_ref.write32(ea, regs[inst.rd]);
@@ -494,9 +437,9 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Store;
         rec.mem_start = ea;
         rec.mem_end = ea + 7;
-        PIFT_END;
-    }
-    PIFT_OP(Ldm) {
+        break;
+      }
+      case Op::Ldm: {
         pift_assert(inst.reg_count > 0 &&
                     inst.rd + inst.reg_count <= 15,
                     "ldm register list out of range");
@@ -510,9 +453,9 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Load;
         rec.mem_start = base;
         rec.mem_end = base + 4u * inst.reg_count - 1;
-        PIFT_END;
-    }
-    PIFT_OP(Stm) {
+        break;
+      }
+      case Op::Stm: {
         pift_assert(inst.reg_count > 0 &&
                     inst.rd + inst.reg_count <= 15,
                     "stm register list out of range");
@@ -525,30 +468,23 @@ Cpu::execute(const isa::Inst &inst, TraceRecord &rec)
         rec.mem_kind = MemKind::Store;
         rec.mem_start = base;
         rec.mem_end = base + 4u * inst.reg_count - 1;
-        PIFT_END;
-    }
+        break;
+      }
 
-    PIFT_OP(Svc)
+      case Op::Svc:
         // Published first; the trap handler runs in run().
         rec.aux = inst.svc_num;
-        PIFT_END;
+        break;
 
-    PIFT_OP(Halt)
+      case Op::Halt:
         halted = true;
-        PIFT_END;
+        break;
 
-#if PIFT_THREADED_DISPATCH
-lbl_dispatch_done:;
-#else
       default:
         pift_panic("unimplemented opcode %d",
                    static_cast<int>(inst.op));
     }
-#endif
 }
-
-#undef PIFT_OP
-#undef PIFT_END
 
 void
 Cpu::publish(TraceRecord &rec)

@@ -220,9 +220,13 @@ TEST(Evaluate, OverheadTimelinesTrackState)
     t.controls.push_back(src);
     t.records.push_back(memRec(0, sim::MemKind::Load, 0x1000));
     t.records.push_back(memRec(1, sim::MemKind::Store, 0x2000));
-    for (SeqNum s = 2; s < 30; ++s)
+    // In-window store covering no new bytes: journaled, not an op.
+    t.records.push_back(memRec(2, sim::MemKind::Store, 0x2000));
+    for (SeqNum s = 3; s < 30; ++s)
         t.records.push_back(aluRec(s));
     t.records.push_back(memRec(30, sim::MemKind::Store, 0x2000));
+    // Late store to untainted bytes: nothing to untaint.
+    t.records.push_back(memRec(31, sim::MemKind::Store, 0x3000));
 
     auto o = analysis::measureOverhead(t, {5, 3, true});
     EXPECT_EQ(o.max_tainted_bytes, 20u);
@@ -232,6 +236,24 @@ TEST(Evaluate, OverheadTimelinesTrackState)
     EXPECT_EQ(o.horizon, t.records.size());
     EXPECT_DOUBLE_EQ(o.tainted_bytes.lastValue(), 16.0);
     EXPECT_DOUBLE_EQ(o.cumulative_ops.lastValue(), 3.0);
+
+    // One point per effective op, stamped with the records it follows.
+    struct Point
+    {
+        SeqNum records;
+        double bytes, ops;
+    };
+    const Point expect[] = {{0, 16, 1}, {2, 20, 2}, {31, 16, 3}};
+    const auto &bytes = o.tainted_bytes.points();
+    const auto &ops = o.cumulative_ops.points();
+    ASSERT_EQ(bytes.size(), 3u);
+    ASSERT_EQ(ops.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(bytes[i].seq, expect[i].records);
+        EXPECT_DOUBLE_EQ(bytes[i].value, expect[i].bytes);
+        EXPECT_EQ(ops[i].seq, expect[i].records);
+        EXPECT_DOUBLE_EQ(ops[i].value, expect[i].ops);
+    }
 }
 
 TEST(Census, RanksByFrequency)

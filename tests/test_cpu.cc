@@ -410,6 +410,18 @@ TEST(CpuGuards, RunawayBudgetPanics)
     EXPECT_DEATH(m.cpu.run(1000), "budget");
 }
 
+TEST(CpuGuards, UnimplementedOpcodePanics)
+{
+    Machine m;
+    Assembler a(0x8000);
+    a.nop();
+    Program prog = a.finish();
+    prog.insts[0].op = Op::NumOps;
+    m.cpu.loadProgram(std::move(prog));
+    m.cpu.setPc(0x8000);
+    EXPECT_DEATH(m.cpu.run(), "unimplemented opcode");
+}
+
 TEST(CpuGuards, OverlappingProgramsRejected)
 {
     Machine m;

@@ -392,6 +392,32 @@ TEST(ServiceBackpressure, ClearAcceptedAfterLossRetiresIt)
               core::SinkVerdict::Clean);
 }
 
+TEST(ServiceBackpressure, DrainNeverMovesLastActiveBack)
+{
+    // The refused load touches pid 5 with its loss tick (3) before
+    // the drain applies the queued loads at ticks 1 and 2. Expiry
+    // and eviction order sessions by last_active, so it must stay 3.
+    service::ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.queue_capacity = 2;
+    service::TrackingService svc(cfg);
+
+    ASSERT_TRUE(svc.submit(
+        memEv(5, EventKind::Load, 0x1000, 0x1003, 1)));
+    ASSERT_TRUE(svc.submit(
+        memEv(5, EventKind::Load, 0x1004, 0x1007, 2)));
+    ASSERT_FALSE(svc.submit(
+        memEv(5, EventKind::Load, 0x1008, 0x100b, 3)));
+    auto before = svc.sessions();
+    ASSERT_EQ(before.size(), 1u);
+    EXPECT_EQ(before[0].last_active, 3u);
+
+    svc.pump();
+    auto after = svc.sessions();
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_EQ(after[0].last_active, 3u);
+}
+
 TEST(ServiceBackpressure, RefusalInsideARunKeepsTheAcceptedPrefix)
 {
     // One submitMany run over one shard crosses the queue bound part

@@ -337,21 +337,6 @@ TEST(Tracker, ClearAllDropsStateAndWindows)
     EXPECT_FALSE(f.s.check(0x1000, 0x100f));
 }
 
-TEST(Tracker, ObserverSeesEffectiveOpsOnly)
-{
-    Fixture f({5, 3, true});
-    unsigned calls = 0;
-    f.tracker.setOpObserver(
-        [&](SeqNum, const core::TrackerStats &,
-            const core::TaintStore &) { ++calls; });
-    f.s.source(0x1000, 0x100f);   // effective insert -> 1
-    f.s.load(0x1000, 0x1003);
-    f.s.store(0x2000, 0x2003);    // effective insert -> 2
-    f.s.step(10);
-    f.s.store(0x3000, 0x3003);    // untaint of untainted: no change
-    EXPECT_EQ(calls, 2u);
-}
-
 TEST(Tracker, MaximaTracked)
 {
     Fixture f({5, 3, true});
