@@ -10,7 +10,8 @@
  *    replayed through PiftTracker via the per-event TraceSink path
  *    vs the SoA batch pipeline (pre-packed, as the grids use it).
  *  - capture_baseline / capture_decode: live execution+capture of
- *    the registry with the decoded-instruction cache off and on.
+ *    the registry with the decoded-instruction cache off and on,
+ *    timed in alternating reps.
  *  - lookup_range_set: branchless binary search microbench on the
  *    sorted range store.
  *  - lookup_storage_probe: TaintStorage (LruSpill) query stream with
@@ -46,6 +47,15 @@ struct Section
     double events_per_sec = 0.0;
 };
 
+/** Print section @p name's fastest rep @p best and return it. */
+Section
+reported(const char *name, uint64_t events, const benchx::Timed &best)
+{
+    std::printf("  %-22s %10.1f ms %14.0f events/sec\n", name,
+                best.wall_ms, best.events_per_sec);
+    return {name, events, best.wall_ms, best.events_per_sec};
+}
+
 /**
  * Time @p fn (one rep worth of @p events) @p reps times and keep the
  * fastest rep — min-of-N rejects scheduler noise, which on shared
@@ -61,9 +71,35 @@ section(const char *name, unsigned reps, uint64_t events, Fn &&fn)
         if (r == 0 || t.wall_ms < best.wall_ms)
             best = t;
     }
-    std::printf("  %-22s %10.1f ms %14.0f events/sec\n", name,
-                best.wall_ms, best.events_per_sec);
-    return {name, events, best.wall_ms, best.events_per_sec};
+    return reported(name, events, best);
+}
+
+/**
+ * Time two sections rep by rep in turns, swapping which one runs
+ * first every rep, and keep each one's fastest rep (see section()).
+ * A drift in the machine's speed then reaches both alike, where two
+ * blocks of back-to-back reps would each see their own phase.
+ * @p fn(i) runs one rep of section i: 0 for @p name_a, 1 for
+ * @p name_b.
+ */
+template <typename Fn>
+void
+interleavedSections(std::vector<Section> &out, const char *name_a,
+                    const char *name_b, unsigned reps, uint64_t events,
+                    Fn &&fn)
+{
+    benchx::Timed best[2];
+    for (unsigned r = 0; r < reps; ++r) {
+        for (unsigned k = 0; k < 2; ++k) {
+            const unsigned side = (r + k) % 2;
+            benchx::Timed t =
+                benchx::timedRun(events, [&] { fn(side); });
+            if (r == 0 || t.wall_ms < best[side].wall_ms)
+                best[side] = t;
+        }
+    }
+    out.push_back(reported(name_a, events, best[0]));
+    out.push_back(reported(name_b, events, best[1]));
 }
 
 /** Leak verdict per registry app under the default window. */
@@ -188,16 +224,12 @@ main(int argc, char **argv)
         rep_passes >= 10 ? rep_passes / 10 : 1;
     captureRegistry(0); // warm-up
     const uint64_t cap_events = records * cap_passes;
-    sections.push_back(
-        section("capture_baseline", reps, cap_events, [&] {
+    interleavedSections(
+        sections, "capture_baseline", "capture_decode", reps,
+        cap_events, [&](unsigned side) {
             for (unsigned p = 0; p < cap_passes; ++p)
-                captureRegistry(0);
-        }));
-    sections.push_back(
-        section("capture_decode", reps, cap_events, [&] {
-            for (unsigned p = 0; p < cap_passes; ++p)
-                captureRegistry(4096);
-        }));
+                captureRegistry(side == 0 ? 0 : 4096);
+        });
 
     // --- Attack 3 microbenches. Fixed seed: identical streams every
     // run and on every machine.

@@ -56,6 +56,7 @@
 
 #include "analysis/evaluate.hh"
 #include "analysis/offline.hh"
+#include "bench/report.hh"
 #include "core/taint_store.hh"
 #include "exec/thread_pool.hh"
 #include "dalvik/disasm.hh"
@@ -387,32 +388,31 @@ cmdTelemetry(int argc, char **argv)
 
     // Replay the full 64-app registry. runApp/piftDetectsLeak emit
     // droidbench.* spans and core.* counters as a side effect.
-    telemetry::BenchReport report;
-    report.bench = "pift_cli_telemetry";
+    uint64_t apps = 0;
+    uint64_t records_replayed = 0;
     core::PiftParams params; // the paper's (13, 3)
     sim::Trace lgroot;
     auto t0 = std::chrono::steady_clock::now();
     {
         telemetry::Span span("phase:registry", "cli");
-        for (const auto *apps : {&droidbench::droidBenchApps(),
-                                 &droidbench::malwareApps()}) {
-            for (const auto &entry : *apps) {
+        for (const auto *registry : {&droidbench::droidBenchApps(),
+                                     &droidbench::malwareApps()}) {
+            for (const auto &entry : *registry) {
                 auto run = droidbench::runApp(entry);
                 (void)analysis::piftDetectsLeak(run.trace, params);
-                report.records_replayed += run.trace.records.size();
-                ++report.apps;
+                records_replayed += run.trace.records.size();
+                ++apps;
                 if (entry.name == "malware_lgroot")
                     lgroot = std::move(run.trace);
             }
         }
     }
     telemetryFaultsPhase(lgroot);
-    report.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    report.events_per_sec = report.wall_ms > 0.0
-        ? 1000.0 * static_cast<double>(report.records_replayed) /
-            report.wall_ms
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    const double events_per_sec = wall_ms > 0.0
+        ? 1000.0 * static_cast<double>(records_replayed) / wall_ms
         : 0.0;
 
     // Human-readable snapshot.
@@ -442,39 +442,69 @@ cmdTelemetry(int argc, char **argv)
         }
     }
     std::printf("%zu instruments; %zu apps, %llu records in %.1f ms\n",
-                snaps.size(), static_cast<size_t>(report.apps),
-                static_cast<unsigned long long>(
-                    report.records_replayed),
-                report.wall_ms);
-
-    // The report's invariants: instrument names unique and sorted
-    // (snapshot determinism), and each histogram's bucket counts
-    // summing to its count.
-    std::vector<std::string> failed;
-    for (size_t i = 1; i < snaps.size(); ++i)
-        if (!(snaps[i - 1].name < snaps[i].name)) {
-            failed.push_back("instrument names unique and sorted");
-            break;
-        }
-    for (const auto &s : snaps) {
-        uint64_t total = 0;
-        for (const auto &b : s.buckets)
-            total += b.count;
-        if (s.kind == telemetry::Kind::Histogram && total != s.count)
-            failed.push_back("histogram " + s.name +
-                             ": bucket counts sum to count");
-    }
+                snaps.size(), static_cast<size_t>(apps),
+                static_cast<unsigned long long>(records_replayed),
+                wall_ms);
 
     // Fold the final counter values into the span stream so the
     // Chrome trace carries the instrument names alongside the spans.
     telemetry::sampleRegistryToTracer();
 
-    if (auto err = telemetry::saveBenchReport(out_path, report);
-        !err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
+    benchx::Report rep("pift_cli_telemetry");
+    rep.field("telemetry_compiled", telemetry::compiledIn(), "apps",
+              apps, "records_replayed", records_replayed, "wall_ms",
+              wall_ms, "events_per_sec", events_per_sec);
+    rep.object("spans", [&] {
+        rep.field("recorded", telemetry::tracer().events().size(),
+                  "dropped", telemetry::tracer().dropped());
+    });
+    rep.array("instruments", snaps.size(), [&](size_t i) {
+        const telemetry::InstrumentSnap &s = snaps[i];
+        rep.field("name", s.name);
+        switch (s.kind) {
+        case telemetry::Kind::Counter:
+            rep.field("kind", "counter", "value", s.value);
+            break;
+        case telemetry::Kind::Gauge:
+            rep.field("kind", "gauge", "value", s.gauge_value, "peak",
+                      s.gauge_peak);
+            break;
+        case telemetry::Kind::Histogram:
+            rep.field("kind", "histogram", "count", s.count, "sum",
+                      s.sum);
+            rep.array("buckets", s.buckets.size(), [&](size_t b) {
+                const telemetry::BucketSnap &bucket = s.buckets[b];
+                if (bucket.le == telemetry::bucket_overflow)
+                    rep.field("le", "+inf");
+                else
+                    rep.field("le", bucket.le);
+                rep.field("count", bucket.count);
+            });
+            rep.field("p50", s.p50, "p95", s.p95, "p99", s.p99);
+            break;
+        }
+    });
+
+    // The report's invariants: instrument names unique and sorted
+    // (snapshot determinism), and each histogram's bucket counts
+    // summing to its count.
+    bool sorted = true;
+    for (size_t i = 1; i < snaps.size(); ++i)
+        sorted = sorted && snaps[i - 1].name < snaps[i].name;
+    rep.check("instrument names unique and sorted", sorted);
+    for (const auto &s : snaps) {
+        if (s.kind != telemetry::Kind::Histogram)
+            continue;
+        uint64_t total = 0;
+        for (const auto &b : s.buckets)
+            total += b.count;
+        rep.check("histogram " + s.name +
+                      ": bucket counts sum to count",
+                  total == s.count);
     }
-    std::printf("wrote %s\n", out_path.c_str());
+    const int rc = rep.finish(out_path);
+    if (rc == 2)
+        return 2;
     if (!trace_path.empty()) {
         if (auto err = telemetry::saveChromeTrace(trace_path);
             !err.empty()) {
@@ -492,9 +522,7 @@ cmdTelemetry(int argc, char **argv)
         }
         std::printf("wrote %s\n", jsonl_path.c_str());
     }
-    for (const std::string &name : failed)
-        std::fprintf(stderr, "FAILED check: %s\n", name.c_str());
-    return failed.empty() ? 0 : 1;
+    return rc;
 }
 
 /**

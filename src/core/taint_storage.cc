@@ -75,21 +75,19 @@ TaintStorageState::wellFormed() const
             (i > 0 && e.last_use <= entries[i - 1].last_use))
             return false;
     }
-    if (params.coalesce) {
-        std::vector<const Entry *> by_start;
-        by_start.reserve(entries.size());
-        for (const auto &e : entries)
-            by_start.push_back(&e);
-        std::sort(by_start.begin(), by_start.end(),
-                  [](const Entry *a, const Entry *b) {
-                      return std::tie(a->pid, a->range.start) <
-                          std::tie(b->pid, b->range.start);
-                  });
-        for (size_t i = 1; i < by_start.size(); ++i) {
-            const Entry &a = *by_start[i - 1], &b = *by_start[i];
-            if (a.pid == b.pid && a.range.touches(b.range))
-                return false;
-        }
+    std::vector<const Entry *> by_start;
+    by_start.reserve(entries.size());
+    for (const auto &e : entries)
+        by_start.push_back(&e);
+    std::sort(by_start.begin(), by_start.end(),
+              [](const Entry *a, const Entry *b) {
+                  return std::tie(a->pid, a->range.start) <
+                      std::tie(b->pid, b->range.start);
+              });
+    for (size_t i = 1; i < by_start.size(); ++i) {
+        const Entry &a = *by_start[i - 1], &b = *by_start[i];
+        if (a.pid == b.pid && a.range.touches(b.range))
+            return false;
     }
     return true;
 }
@@ -115,7 +113,6 @@ TaintStorageState::operator==(const TaintStorageState &other) const
     };
     return params.entries == other.params.entries &&
         params.policy == other.params.policy &&
-        params.coalesce == other.params.coalesce &&
         clock == other.clock &&
         std::equal(entries.begin(), entries.end(),
                    other.entries.begin(), other.entries.end(),
@@ -154,8 +151,7 @@ void
 TaintStorage::restoreState(const TaintStorageState &state)
 {
     pift_assert(state.params.entries == params.entries &&
-                    state.params.policy == params.policy &&
-                    state.params.coalesce == params.coalesce,
+                    state.params.policy == params.policy,
                 "taint storage restore: params mismatch");
     pift_assert(state.wellFormed(),
                 "taint storage restore: state not well formed");
@@ -276,12 +272,9 @@ TaintStorage::collect(ProcId pid, Addr lo, Addr hi)
     auto it = index.upper_bound({pid, hi, nil});
     while (it != index.begin()) {
         --it;
-        if (it->pid != pid)
+        if (it->pid != pid || slots[it->slot].range.end < lo)
             break;
-        if (slots[it->slot].range.end >= lo)
-            hits.push_back(it->slot);
-        else if (params.coalesce)
-            break;
+        hits.push_back(it->slot);
     }
     std::sort(hits.begin(), hits.end(), [this](Slot a, Slot b) {
         return slots[a].last_use < slots[b].last_use;
@@ -305,7 +298,6 @@ TaintStorage::query(ProcId pid, const taint::AddrRange &r)
 {
     ++stat.lookups;
     stel().lookups.inc();
-    stat.entry_compares += params.entries;
 
     // In hardware all comparators fire at once; every hitting entry
     // gets its LRU touch, in ascending prior last_use so the new
@@ -413,30 +405,27 @@ TaintStorage::insert(ProcId pid, const taint::AddrRange &r)
     ++stat.inserts;
     stel().inserts.inc();
 
+    // Absorb every same-process entry that overlaps or touches r.
+    // Hardware does this with the same comparator array the lookup
+    // uses. One pid's entries are disjoint and never adjacent, so
+    // these are all the merged range can reach.
     taint::AddrRange merged = r;
     uint64_t absorbed = 0;
+    collect(pid, r.start == 0 ? r.start : r.start - 1,
+            r.end == ~Addr(0) ? r.end : r.end + 1);
+    for (Slot s : hits) {
+        merged.start = std::min(merged.start, slots[s].range.start);
+        merged.end = std::max(merged.end, slots[s].range.end);
+        absorbed += slots[s].range.bytes();
+    }
     Slot slot = nil; // an absorbed entry's slot, reused for merged
-    if (params.coalesce) {
-        // Absorb every same-process entry that overlaps or touches r.
-        // Hardware does this with the same comparator array the
-        // lookup uses. One pid's entries are disjoint and never
-        // adjacent, so these are all the merged range can reach.
-        stat.entry_compares += params.entries;
-        collect(pid, r.start == 0 ? r.start : r.start - 1,
-                r.end == ~Addr(0) ? r.end : r.end + 1);
-        for (Slot s : hits) {
-            merged.start = std::min(merged.start, slots[s].range.start);
-            merged.end = std::max(merged.end, slots[s].range.end);
-            absorbed += slots[s].range.bytes();
-        }
-        if (!hits.empty()) {
-            slot = hits.front();
-            for (size_t i = 1; i < hits.size(); ++i)
-                unlink(hits[i]);
-            if (hits.size() > 1) {
-                stat.coalesces += hits.size() - 1;
-                stel().coalesces.inc(hits.size() - 1);
-            }
+    if (!hits.empty()) {
+        slot = hits.front();
+        for (size_t i = 1; i < hits.size(); ++i)
+            unlink(hits[i]);
+        if (hits.size() > 1) {
+            stat.coalesces += hits.size() - 1;
+            stel().coalesces.inc(hits.size() - 1);
         }
     }
 
@@ -453,9 +442,9 @@ TaintStorage::insert(ProcId pid, const taint::AddrRange &r)
     // Re-absorb any spilled overlap: the new cache entry covers those
     // bytes now, so leaving them in secondary storage would make
     // bytes()/rangeCount() double-count and make a re-insert of a
-    // spilled range report "new bytes covered". Runs after allocEntry
-    // because the eviction above may itself have spilled an
-    // overlapping same-pid victim (possible with coalescing off).
+    // spilled range report "new bytes covered". A victim the
+    // allocEntry above spilled is no part of it: it was not among the
+    // hits, so it neither overlaps nor touches the merged range.
     if (params.policy == EvictPolicy::LruSpill) {
         auto it = spill_sets.find(pid);
         if (it != spill_sets.end()) {
@@ -477,8 +466,6 @@ TaintStorage::insert(ProcId pid, const taint::AddrRange &r)
     }
     stat.max_entries_used = std::max(stat.max_entries_used,
                                      index.size());
-    if (!params.coalesce)
-        return true;
     return merged.bytes() > absorbed;
 }
 
@@ -489,7 +476,6 @@ TaintStorage::remove(ProcId pid, const taint::AddrRange &r)
         return false;
     ++stat.removes;
     stel().removes.inc();
-    stat.entry_compares += params.entries;
 
     bool changed = false;
     collect(pid, r.start, r.end);

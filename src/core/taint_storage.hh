@@ -6,13 +6,12 @@
  * a fixed number of entries, each holding {process id, start, end,
  * valid}; a lookup compares all entries in parallel (constant time in
  * hardware). The model reaches the same answer through a (pid, start)
- * index over the live entries, and charges every comparator the CAM
- * would fire to StorageStats::entry_compares. When the cache fills,
+ * index over the live entries. When the cache fills,
  * the paper offers two options: evict with LRU to a secondary
  * storage in main memory (costing a miss-style delay), or simply drop
- * the entry (no delay, possible false negatives). Both are modeled,
- * plus coalescing of overlapping/adjacent same-process entries, which
- * keeps entry pressure at the Figure 17 levels.
+ * the entry (no delay, possible false negatives). Both are modeled.
+ * An insert coalesces overlapping/adjacent same-process entries,
+ * which keeps entry pressure at the Figure 17 levels.
  *
  * WordTaintStorage models the fixed-granularity alternative: taint a
  * whole 2^r-byte block when any byte in it is tainted, storing only
@@ -59,11 +58,6 @@ struct StorageStats
     uint64_t saturation_events = 0; //!< times a process lost a range
     uint64_t coalesces = 0;        //!< entries merged on insert
     size_t max_entries_used = 0;   //!< peak valid-entry count
-    /**
-     * CAM comparisons (cost proxy): every lookup, remove and
-     * coalescing insert fires all params.entries comparators.
-     */
-    uint64_t entry_compares = 0;
 };
 
 /** Configuration of the range-entry cache. */
@@ -75,8 +69,6 @@ struct TaintStorageParams
      */
     size_t entries = 2730;
     EvictPolicy policy = EvictPolicy::LruSpill;
-    /** Merge overlapping/adjacent same-pid entries on insert. */
-    bool coalesce = true;
 };
 
 /**
@@ -89,8 +81,8 @@ struct TaintStorageParams
  * reproduces the original's behaviour exactly, because every decision
  * rests on pid, range and last_use alone: a query stamps the entries
  * it hits in ascending prior last_use, a remove processes overlapping
- * entries in that order, eviction takes the smallest last_use, and a
- * coalescing insert absorbs the same entries in any order. Operation
+ * entries in that order, eviction takes the smallest last_use, and an
+ * insert absorbs the same entries in any order. Operation
  * counters (StorageStats) are observability, not state, and are not
  * captured.
  */
@@ -122,8 +114,8 @@ struct TaintStorageState
     /**
      * True when exportState() could have produced this state: 1 to
      * 2^32 - 2 entries configured, at most that many valid entries in
-     * ascending, unique last_use no greater than the clock, and with
-     * coalescing, no two entries of one pid that overlap or touch.
+     * ascending, unique last_use no greater than the clock, and no two
+     * entries of one pid that overlap or touch.
      * restoreState() requires it; snapshot decoding rejects a state
      * without it as corrupt.
      */
@@ -208,8 +200,9 @@ class TaintStorage : public TaintStore
     };
 
     /**
-     * Index key over live entries: by pid, then start. The slot breaks
-     * ties, since without coalescing two entries may share a start.
+     * Index key over live entries: by pid, then start, which is unique
+     * because one pid's entries are disjoint. The slot is the payload:
+     * where the entry lives.
      */
     struct Key
     {
@@ -254,10 +247,9 @@ class TaintStorage : public TaintStore
 
     /**
      * Fill hits with @p pid's live entries that start at or before
-     * @p hi and end at or after @p lo, in ascending last_use. With
-     * coalescing, one pid's entries are disjoint and never adjacent,
-     * so the walk back from @p hi stops at the first entry that ends
-     * before @p lo.
+     * @p hi and end at or after @p lo, in ascending last_use. One
+     * pid's entries are disjoint and never adjacent, so the walk back
+     * from @p hi stops at the first entry that ends before @p lo.
      */
     void collect(ProcId pid, Addr lo, Addr hi);
 

@@ -13,7 +13,7 @@ encodeStorage(ByteWriter &w, const core::TaintStorageState &s)
 {
     w.put64(s.params.entries);
     w.put8(static_cast<uint8_t>(s.params.policy));
-    w.put8(s.params.coalesce ? 1 : 0);
+    w.put8(1); // coalescing: storage always coalesces
     w.put64(s.clock);
     w.put64(s.entries.size());
     for (const auto &e : s.entries) {
@@ -79,7 +79,8 @@ decodeStorage(ByteReader &r, core::TaintStorageState &s)
     if (policy > static_cast<uint8_t>(core::EvictPolicy::DropNew))
         return Status::error("snapshot: bad eviction policy");
     s.params.policy = static_cast<core::EvictPolicy>(policy);
-    s.params.coalesce = r.get8() != 0;
+    if (r.get8() != 1 && r.ok())
+        return Status::error("snapshot: storage coalescing byte not 1");
     s.clock = r.get64();
 
     uint64_t nentries = r.get64();

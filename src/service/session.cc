@@ -53,7 +53,6 @@ Session::apply(const ServiceEvent &ev)
       case EventKind::Load:
       case EventKind::Store: {
         sim::TraceRecord rec;
-        rec.seq = ++records_fed_;
         rec.local_seq = ev.local_seq;
         rec.pid = pid_;
         rec.mem_kind = ev.kind == EventKind::Load ? sim::MemKind::Load
@@ -67,7 +66,6 @@ Session::apply(const ServiceEvent &ev)
       case EventKind::Sink:
       case EventKind::Clear: {
         sim::ControlEvent ctl;
-        ctl.seq = records_fed_;
         ctl.kind = ev.kind == EventKind::Source
                        ? sim::ControlKind::RegisterSource
                        : ev.kind == EventKind::Sink

@@ -181,7 +181,6 @@ class Session
     std::unique_ptr<persist::DurableSession> durable_;
     uint64_t last_active_ = 0;
     uint64_t events_ = 0;
-    SeqNum records_fed_ = 0; //!< synthetic global seq for the tracker
     bool commit_queued_ = false; //!< listed for the shard's next commit
 };
 

@@ -10,17 +10,6 @@ namespace pift::telemetry
 namespace
 {
 
-const char *
-kindTag(Kind kind)
-{
-    switch (kind) {
-      case Kind::Counter:   return "counter";
-      case Kind::Gauge:     return "gauge";
-      case Kind::Histogram: return "histogram";
-    }
-    return "?";
-}
-
 /** Chrome "ph" letter for one event. */
 char
 phaseTag(TraceEvent::Phase ph)
@@ -28,7 +17,6 @@ phaseTag(TraceEvent::Phase ph)
     switch (ph) {
       case TraceEvent::Phase::Begin:   return 'B';
       case TraceEvent::Phase::End:     return 'E';
-      case TraceEvent::Phase::Instant: return 'i';
       case TraceEvent::Phase::Counter: return 'C';
     }
     return '?';
@@ -46,10 +34,6 @@ writeEventObject(std::ostream &os, const TraceEvent &ev)
            << jsonEscape(ev.cat) << "\"";
         break;
       case TraceEvent::Phase::End:
-        break;
-      case TraceEvent::Phase::Instant:
-        os << ",\"name\":\"" << jsonEscape(ev.name) << "\",\"cat\":\""
-           << jsonEscape(ev.cat) << "\",\"s\":\"t\"";
         break;
       case TraceEvent::Phase::Counter:
         os << ",\"name\":\"" << jsonEscape(ev.name)
@@ -127,51 +111,6 @@ writeJsonl(std::ostream &os, const std::vector<TraceEvent> &events)
         writeEventObject(os, ev);
         os << "\n";
     }
-}
-
-void
-writeMetricsJson(std::ostream &os,
-                 const std::vector<InstrumentSnap> &snaps, int indent)
-{
-    std::string pad(static_cast<size_t>(indent), ' ');
-    os << "[";
-    bool first = true;
-    for (const InstrumentSnap &snap : snaps) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n" << pad << "  {\"name\":\"" << jsonEscape(snap.name)
-           << "\",\"kind\":\"" << kindTag(snap.kind) << "\"";
-        switch (snap.kind) {
-          case Kind::Counter:
-            os << ",\"value\":" << snap.value;
-            break;
-          case Kind::Gauge:
-            os << ",\"value\":" << snap.gauge_value
-               << ",\"peak\":" << snap.gauge_peak;
-            break;
-          case Kind::Histogram:
-            os << ",\"count\":" << snap.count << ",\"sum\":"
-               << snap.sum << ",\"buckets\":[";
-            for (size_t i = 0; i < snap.buckets.size(); ++i) {
-                if (i)
-                    os << ",";
-                os << "{\"le\":";
-                if (snap.buckets[i].le == bucket_overflow)
-                    os << "\"+inf\"";
-                else
-                    os << snap.buckets[i].le;
-                os << ",\"count\":" << snap.buckets[i].count << "}";
-            }
-            os << "],\"p50\":" << snap.p50 << ",\"p95\":" << snap.p95
-               << ",\"p99\":" << snap.p99;
-            break;
-        }
-        os << "}";
-    }
-    if (!first)
-        os << "\n" << pad;
-    os << "]";
 }
 
 std::string

@@ -1,19 +1,18 @@
 /**
  * @file
- * Telemetry exporters, in the sim/trace_io mold: stream writers plus
- * file-path helpers that report failure instead of aborting. Three
+ * Trace exporters, in the sim/trace_io mold: stream writers plus
+ * file-path helpers that report failure instead of aborting. Two
  * formats:
  *
  *  - Chrome `about:tracing` JSON ({"traceEvents":[...]}): load it at
  *    chrome://tracing or https://ui.perfetto.dev. Spans become B/E
- *    duration events, markers become instants, metric samples become
- *    counter events.
+ *    duration events, metric samples become counter events.
  *  - JSONL: one event object per line, for grep/jq pipelines.
- *  - Metrics JSON: the registry snapshot as a JSON array (embedded in
- *    BENCH_telemetry.json by telemetry/report).
  *
- * All writers are valid with an empty tracer/registry, so a
+ * Both writers are valid with an empty tracer, so a
  * PIFT_TELEMETRY=OFF build still produces loadable (empty) files.
+ * The registry snapshot reaches BENCH_telemetry.json through the
+ * bench-report writer (bench/report.hh), in `pift_cli telemetry`.
  */
 
 #ifndef PIFT_TELEMETRY_EXPORT_HH
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/registry.hh"
 #include "telemetry/span.hh"
 
 namespace pift::telemetry
@@ -39,11 +37,6 @@ void writeChromeTrace(std::ostream &os,
 /** Write @p events as JSONL, one event object per line. */
 void writeJsonl(std::ostream &os,
                 const std::vector<TraceEvent> &events);
-
-/** Write a registry snapshot as a JSON array of instruments. */
-void writeMetricsJson(std::ostream &os,
-                      const std::vector<InstrumentSnap> &snaps,
-                      int indent = 0);
 
 /**
  * Save the process tracer's stream as a Chrome trace file.

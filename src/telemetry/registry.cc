@@ -68,17 +68,6 @@ histogramQuantile(const std::vector<BucketSnap> &buckets,
 namespace pift::telemetry
 {
 
-namespace detail
-{
-std::atomic<bool> g_enabled{true};
-} // namespace detail
-
-void
-setEnabled(bool on)
-{
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::vector<uint64_t> bounds)
     : bnd(std::move(bounds)),
       buckets(new std::atomic<uint64_t>[bnd.size() + 1])
@@ -92,8 +81,6 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
 void
 Histogram::observe(uint64_t v)
 {
-    if (!detail::collecting())
-        return;
     // First bound >= v; past-the-end selects the overflow bucket.
     size_t idx = static_cast<size_t>(
         std::lower_bound(bnd.begin(), bnd.end(), v) - bnd.begin());

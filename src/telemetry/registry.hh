@@ -7,21 +7,16 @@
  * names (`layer.component.event`, e.g. `core.storage.inserts`). Call
  * sites resolve an instrument once (a mutex-guarded map lookup) and
  * then update it lock-free: every hot-path mutation is a single
- * relaxed atomic RMW behind a relaxed enabled-flag load.
+ * relaxed atomic RMW.
  *
- * Two off switches, two costs:
- *  - `setEnabled(false)` gates collection at runtime (one predictable
- *    branch per update) — bench_telemetry_overhead uses it to measure
- *    the enabled/disabled delta inside one binary;
- *  - building with `-DPIFT_TELEMETRY=OFF` removes the subsystem
- *    entirely: this header swaps in inline empty stubs with the same
- *    API, so instrumented code compiles unchanged and the optimizer
- *    deletes every call.
+ * One off switch: building with `-DPIFT_TELEMETRY=OFF` removes the
+ * subsystem entirely. This header then swaps in inline empty stubs
+ * with the same API, so instrumented code compiles unchanged and the
+ * optimizer deletes every call.
  *
  * Snapshots are deterministic: instruments are reported sorted by
- * name, and counter values under a fixed workload are exact (the
- * simulator is single-threaded; atomics exist so background threads
- * may observe safely).
+ * name, and counter values under a fixed workload are exact (every
+ * update is atomic, so concurrent workers lose none).
  */
 
 #ifndef PIFT_TELEMETRY_REGISTRY_HH
@@ -97,28 +92,6 @@ double histogramQuantile(const std::vector<BucketSnap> &buckets,
 
 #if defined(PIFT_TELEMETRY_ENABLED)
 
-namespace detail
-{
-/** Process-wide runtime collection gate. */
-extern std::atomic<bool> g_enabled;
-
-inline bool
-collecting()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-} // namespace detail
-
-/** True when updates are currently being collected. */
-inline bool
-enabled()
-{
-    return detail::collecting();
-}
-
-/** Gate collection at runtime (spans and instruments both obey). */
-void setEnabled(bool on);
-
 /** True when the subsystem is compiled in (PIFT_TELEMETRY=ON). */
 inline constexpr bool
 compiledIn()
@@ -133,8 +106,7 @@ class Counter
     void
     inc(uint64_t n = 1)
     {
-        if (detail::collecting())
-            val.fetch_add(n, std::memory_order_relaxed);
+        val.fetch_add(n, std::memory_order_relaxed);
     }
 
     uint64_t value() const { return val.load(std::memory_order_relaxed); }
@@ -152,8 +124,6 @@ class Gauge
     void
     set(int64_t v)
     {
-        if (!detail::collecting())
-            return;
         val.store(v, std::memory_order_relaxed);
         raisePeak(v);
     }
@@ -161,8 +131,6 @@ class Gauge
     void
     add(int64_t d)
     {
-        if (!detail::collecting())
-            return;
         int64_t now = val.fetch_add(d, std::memory_order_relaxed) + d;
         raisePeak(now);
     }
@@ -247,9 +215,6 @@ std::vector<InstrumentSnap> snapshot();
 void resetAll();
 
 #else // !PIFT_TELEMETRY_ENABLED — inline no-op stubs, same API.
-
-inline bool enabled() { return false; }
-inline void setEnabled(bool) {}
 
 inline constexpr bool
 compiledIn()

@@ -67,8 +67,6 @@ recordingTid()
 bool
 Tracer::begin(const std::string &name, const char *cat)
 {
-    if (!detail::collecting())
-        return false;
     const uint32_t tid = recordingTid();
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -100,26 +98,8 @@ Tracer::end()
 }
 
 void
-Tracer::instant(const std::string &name, const char *cat)
-{
-    if (!detail::collecting())
-        return;
-    const uint32_t tid = recordingTid();
-    TracerState &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.events.size() + s.open >= s.cap) {
-        ++s.dropped;
-        return;
-    }
-    s.events.push_back(
-        {TraceEvent::Phase::Instant, name, cat, s.nowUs(), 0.0, tid});
-}
-
-void
 Tracer::counterSample(const std::string &name, double value)
 {
-    if (!detail::collecting())
-        return;
     const uint32_t tid = recordingTid();
     TracerState &s = state();
     std::lock_guard<std::mutex> lock(s.mutex);

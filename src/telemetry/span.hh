@@ -10,9 +10,9 @@
  * thread that recorded it (1 for the first thread that records), and
  * end() closes the innermost span open on its own thread, so the
  * spans of parallel pool tasks nest per thread.
- * The tracer also records Instant events (one-off markers) and
- * Counter samples (instrument name → value at a point in time), which
- * is how metrics snapshots become visible on the trace timeline.
+ * The tracer also records Counter samples (instrument name → value at
+ * a point in time), which is how metrics snapshots become visible on
+ * the trace timeline.
  *
  * The event buffer is bounded: past the capacity, events are counted
  * as dropped instead of accumulating without limit. A Begin that is
@@ -38,9 +38,9 @@ namespace pift::telemetry
 /** One entry in the tracer's event stream. */
 struct TraceEvent
 {
-    enum class Phase : uint8_t { Begin, End, Instant, Counter };
+    enum class Phase : uint8_t { Begin, End, Counter };
 
-    Phase ph = Phase::Instant;
+    Phase ph = Phase::Begin;
     std::string name;
     std::string cat;        //!< Chrome trace category
     uint64_t ts_us = 0;     //!< microseconds since tracer start
@@ -56,16 +56,12 @@ class Tracer
   public:
     /**
      * Append a Begin event. @return false when the event was dropped
-     * (collection disabled or buffer full) — the caller must then
-     * skip the matching end().
+     * (buffer full) — the caller must then skip the matching end().
      */
     bool begin(const std::string &name, const char *cat);
 
     /** Append the End event for this thread's innermost begin(). */
     void end();
-
-    /** Append a one-off marker event. */
-    void instant(const std::string &name, const char *cat);
 
     /** Append a Counter sample (instrument value at this moment). */
     void counterSample(const std::string &name, double value);
@@ -126,7 +122,6 @@ class Tracer
   public:
     bool begin(const std::string &, const char *) { return false; }
     void end() {}
-    void instant(const std::string &, const char *) {}
     void counterSample(const std::string &, double) {}
     std::vector<TraceEvent> events() const { return {}; }
     uint64_t dropped() const { return 0; }

@@ -15,7 +15,6 @@
 
 #include "telemetry/export.hh"
 #include "telemetry/registry.hh"
-#include "telemetry/report.hh"
 #include "telemetry/span.hh"
 
 #endif // PIFT_TELEMETRY_TELEMETRY_HH

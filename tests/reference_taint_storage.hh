@@ -13,8 +13,8 @@
  *
  * The model carries the multi-hit stamp rule (DESIGN.md §12): a query
  * that hits several entries stamps them in ascending prior last_use,
- * and a remove without coalescing processes its overlapping entries
- * in that order, so behaviour depends on nothing exportState() drops.
+ * and a remove processes its overlapping entries in that order, so
+ * behaviour depends on nothing exportState() drops.
  */
 
 #ifndef PIFT_TESTS_REFERENCE_TAINT_STORAGE_HH
@@ -45,7 +45,6 @@ class ReferenceTaintStorage : public core::TaintStore
     query(ProcId pid, const taint::AddrRange &r) override
     {
         ++stat.lookups;
-        stat.entry_compares += entries.size();
         std::vector<size_t> hits = overlapping(pid, r);
         for (size_t i : hits)
             entries[i].last_use = ++clock_;
@@ -73,28 +72,24 @@ class ReferenceTaintStorage : public core::TaintStore
         taint::AddrRange merged = r;
         uint64_t absorbed = 0;
         size_t slot = npos;
-        if (params.coalesce) {
-            // Absorb every same-pid entry touching the growing merged
-            // range, repeating until stable.
-            stat.entry_compares += entries.size();
-            bool grew = true;
-            while (grew) {
-                grew = false;
-                for (size_t i = 0; i < entries.size(); ++i) {
-                    Entry &e = entries[i];
-                    if (!e.valid || e.pid != pid ||
-                        !e.range.touches(merged))
-                        continue;
-                    merged.start = std::min(merged.start, e.range.start);
-                    merged.end = std::max(merged.end, e.range.end);
-                    absorbed += e.range.bytes();
-                    e.valid = false;
-                    if (slot == npos)
-                        slot = i;
-                    else
-                        ++stat.coalesces;
-                    grew = true;
-                }
+        // Absorb every same-pid entry touching the growing merged
+        // range, repeating until stable.
+        bool grew = true;
+        while (grew) {
+            grew = false;
+            for (size_t i = 0; i < entries.size(); ++i) {
+                Entry &e = entries[i];
+                if (!e.valid || e.pid != pid || !e.range.touches(merged))
+                    continue;
+                merged.start = std::min(merged.start, e.range.start);
+                merged.end = std::max(merged.end, e.range.end);
+                absorbed += e.range.bytes();
+                e.valid = false;
+                if (slot == npos)
+                    slot = i;
+                else
+                    ++stat.coalesces;
+                grew = true;
             }
         }
         if (slot == npos)
@@ -114,7 +109,7 @@ class ReferenceTaintStorage : public core::TaintStore
         entries[slot] = {pid, merged, true, ++clock_};
         stat.max_entries_used = std::max(stat.max_entries_used,
                                          validEntries());
-        return !params.coalesce || merged.bytes() > absorbed;
+        return merged.bytes() > absorbed;
     }
 
     bool
@@ -123,7 +118,6 @@ class ReferenceTaintStorage : public core::TaintStore
         if (!r.valid())
             return false;
         ++stat.removes;
-        stat.entry_compares += entries.size();
         bool changed = false;
         for (size_t i : overlapping(pid, r)) {
             Entry &e = entries[i];

@@ -66,6 +66,14 @@ TEST(BenchReport, WritesNestedObjectsAndArraysOfObjects)
     rep.array("runs", jobs.size(), [&](size_t i) {
         rep.field("jobs", jobs[i]);
         rep.field("speedup", 1.0 / 3.0);
+        // An array inside an array element, as a histogram's buckets.
+        const size_t n = 2 * i;
+        rep.array("buckets", n, [&](size_t b) {
+            if (b + 1 == n)
+                rep.field("le", "+inf");
+            else
+                rep.field("le", b);
+        });
     });
     rep.array("none", 0, [](size_t) {});
     const std::string path = tempPath("report_nest.json");
@@ -86,11 +94,20 @@ TEST(BenchReport, WritesNestedObjectsAndArraysOfObjects)
               "  \"runs\": [\n"
               "    {\n"
               "      \"jobs\": 1,\n"
-              "      \"speedup\": 0.333333\n"
+              "      \"speedup\": 0.333333,\n"
+              "      \"buckets\": []\n"
               "    },\n"
               "    {\n"
               "      \"jobs\": 4,\n"
-              "      \"speedup\": 0.333333\n"
+              "      \"speedup\": 0.333333,\n"
+              "      \"buckets\": [\n"
+              "        {\n"
+              "          \"le\": 0\n"
+              "        },\n"
+              "        {\n"
+              "          \"le\": \"+inf\"\n"
+              "        }\n"
+              "      ]\n"
               "    }\n"
               "  ],\n"
               "  \"none\": []\n"

@@ -378,7 +378,6 @@ TEST(DegradedVerdicts, StorageSaturationTurnsCleanIntoMaybe)
     core::TaintStorageParams sp;
     sp.entries = 1;
     sp.policy = core::EvictPolicy::LruDrop;
-    sp.coalesce = false;
     core::TaintStorage storage(sp);
     core::PiftTracker tracker(core::PiftParams{}, storage);
 

@@ -274,6 +274,31 @@ TEST(Snapshot, MalformedStorageStateIsCorruptionNotACrash)
                     .ok());
     auto result = persist::recover(dir, smallStorage());
     EXPECT_TRUE(result.corruption_detected);
+
+    // Storage always coalesces, so its snapshot byte is always 1
+    // (after magic, version, reserved, epoch, entries and policy).
+    // Any other value under a valid CRC is corruption too.
+    persist::SnapshotData fine;
+    fine.storage.params = smallStorage();
+    const std::string good = persist::encodeSnapshot(fine);
+    ASSERT_TRUE(persist::decodeSnapshot(good).ok());
+    constexpr size_t coalesce_at = 4 + 2 + 2 + 8 + 8 + 1;
+    ASSERT_EQ(good[coalesce_at], 1);
+    for (char byte : {char(0), char(2)}) {
+        std::string bytes = good.substr(0, good.size() - 4);
+        bytes[coalesce_at] = byte;
+        persist::ByteWriter crc;
+        crc.put32(persist::crc32(bytes.data(), bytes.size()));
+        bytes += crc.bytes();
+        EXPECT_FALSE(persist::decodeSnapshot(bytes).ok())
+            << "coalesce byte " << int(byte);
+        ASSERT_TRUE(persist::writeFileAtomic(
+                        persist::snapshotPath(dir), bytes)
+                        .ok());
+        EXPECT_TRUE(persist::recover(dir, smallStorage())
+                        .corruption_detected)
+            << "coalesce byte " << int(byte);
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -301,11 +326,6 @@ TEST(StorageState, WellFormedMatchesWhatExportCanProduce)
     }));
     EXPECT_TRUE(broken([](auto &s) {
         s.entries[1].range = taint::AddrRange(0x20f, 0x200); // invalid
-    }));
-    // Without coalescing, one pid's entries may overlap.
-    EXPECT_FALSE(broken([](auto &s) {
-        s.params.coalesce = false;
-        s.entries[1].range = s.entries[0].range;
     }));
 }
 

@@ -91,7 +91,6 @@ struct SerialReference
     core::TaintStorage storage;
     core::PiftTracker tracker;
     ProcId pid;
-    SeqNum records_fed = 0;
 
     SerialReference(ProcId pid_, const service::SessionConfig &cfg)
         : storage(cfg.storage), tracker(cfg.params, storage), pid(pid_)
@@ -104,7 +103,6 @@ struct SerialReference
     {
         if (ev.kind == EventKind::Load || ev.kind == EventKind::Store) {
             sim::TraceRecord rec;
-            rec.seq = ++records_fed;
             rec.local_seq = ev.local_seq;
             rec.pid = pid;
             rec.mem_kind = ev.kind == EventKind::Load
@@ -116,7 +114,6 @@ struct SerialReference
             return;
         }
         sim::ControlEvent ctl;
-        ctl.seq = records_fed;
         ctl.kind = ev.kind == EventKind::Source
                        ? sim::ControlKind::RegisterSource
                        : ev.kind == EventKind::Sink

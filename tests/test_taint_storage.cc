@@ -26,13 +26,11 @@ namespace
 {
 
 TaintStorageParams
-params(size_t entries, EvictPolicy policy = EvictPolicy::LruSpill,
-       bool coalesce = true)
+params(size_t entries, EvictPolicy policy = EvictPolicy::LruSpill)
 {
     TaintStorageParams p;
     p.entries = entries;
     p.policy = policy;
-    p.coalesce = coalesce;
     return p;
 }
 
@@ -102,7 +100,7 @@ TEST(TaintStorage, LruSpillKeepsTaintExact)
 {
     // Eviction to secondary storage: no taint is lost, just slower
     // (the paper's 'cache miss' analogy).
-    TaintStorage st(params(2, EvictPolicy::LruSpill, false));
+    TaintStorage st(params(2, EvictPolicy::LruSpill));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     st.insert(1, AddrRange(0x500, 0x50f)); // evicts the LRU entry
@@ -118,7 +116,7 @@ TEST(TaintStorage, LruDropLosesTaint)
 {
     // Dropping avoids the miss delay but may cause false negatives
     // (Section 3.3).
-    TaintStorage st(params(2, EvictPolicy::LruDrop, false));
+    TaintStorage st(params(2, EvictPolicy::LruDrop));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     st.insert(1, AddrRange(0x500, 0x50f));
@@ -129,7 +127,7 @@ TEST(TaintStorage, LruDropLosesTaint)
 
 TEST(TaintStorage, DropNewRefusesInsertion)
 {
-    TaintStorage st(params(2, EvictPolicy::DropNew, false));
+    TaintStorage st(params(2, EvictPolicy::DropNew));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     EXPECT_FALSE(st.insert(1, AddrRange(0x500, 0x50f)));
@@ -139,7 +137,7 @@ TEST(TaintStorage, DropNewRefusesInsertion)
 
 TEST(TaintStorage, LruVictimSelection)
 {
-    TaintStorage st(params(2, EvictPolicy::LruDrop, false));
+    TaintStorage st(params(2, EvictPolicy::LruDrop));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     // Touch the first entry so the second becomes LRU.
@@ -161,7 +159,6 @@ TEST(TaintStorage, StatsCountOperations)
     EXPECT_EQ(st.stats().lookup_hits, 1u);
     EXPECT_EQ(st.stats().removes, 1u);
     EXPECT_EQ(st.stats().max_entries_used, 1u);
-    EXPECT_GT(st.stats().entry_compares, 0u);
 }
 
 TEST(TaintStorage, Paper32KiBSizing)
@@ -179,7 +176,7 @@ TEST(TaintStorage, Paper32KiBSizing)
 
 TEST(TaintStorage, LruDropSetsSaturationOnVictim)
 {
-    TaintStorage st(params(2, EvictPolicy::LruDrop, false));
+    TaintStorage st(params(2, EvictPolicy::LruDrop));
     st.insert(1, AddrRange(0x100, 0x10f));
     EXPECT_FALSE(st.saturated(1)); // nothing lost yet
     st.insert(2, AddrRange(0x300, 0x30f));
@@ -191,7 +188,7 @@ TEST(TaintStorage, LruDropSetsSaturationOnVictim)
 
 TEST(TaintStorage, DropNewSetsSaturationOnRefusedPid)
 {
-    TaintStorage st(params(2, EvictPolicy::DropNew, false));
+    TaintStorage st(params(2, EvictPolicy::DropNew));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     EXPECT_FALSE(st.saturated(1));
@@ -203,7 +200,7 @@ TEST(TaintStorage, DropNewSetsSaturationOnRefusedPid)
 
 TEST(TaintStorage, LruSpillNeverSaturates)
 {
-    TaintStorage st(params(2, EvictPolicy::LruSpill, false));
+    TaintStorage st(params(2, EvictPolicy::LruSpill));
     for (uint32_t i = 0; i < 32; ++i)
         st.insert(1, AddrRange(i * 0x100, i * 0x100 + 4));
     EXPECT_GT(st.stats().evictions, 0u);
@@ -213,7 +210,7 @@ TEST(TaintStorage, LruSpillNeverSaturates)
 
 TEST(TaintStorage, SaturationClearsWithStateAndOnDemand)
 {
-    TaintStorage st(params(1, EvictPolicy::LruDrop, false));
+    TaintStorage st(params(1, EvictPolicy::LruDrop));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     ASSERT_TRUE(st.saturated(1));
@@ -231,7 +228,7 @@ TEST(TaintStorage, SpillReinsertDoesNotDoubleCount)
     // Re-inserting a range that earlier spilled to secondary storage
     // must re-absorb the spilled copy: the taint exists once, so
     // bytes()/rangeCount() count it once.
-    TaintStorage st(params(2, EvictPolicy::LruSpill, false));
+    TaintStorage st(params(2, EvictPolicy::LruSpill));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     st.insert(1, AddrRange(0x500, 0x50f)); // spills [0x100, 0x10f]
@@ -251,10 +248,10 @@ TEST(TaintStorage, SpillReinsertDoesNotDoubleCount)
 
 TEST(TaintStorage, SpillReinsertReportsNoNewBytes)
 {
-    // With coalescing on, insert() returns whether the range covered
-    // any byte that was not already tainted — and a spilled byte IS
-    // still tainted, just slower to reach.
-    TaintStorage st(params(2, EvictPolicy::LruSpill, true));
+    // insert() returns whether the range covered any byte that was
+    // not already tainted — and a spilled byte IS still tainted, just
+    // slower to reach.
+    TaintStorage st(params(2, EvictPolicy::LruSpill));
     st.insert(1, AddrRange(0x100, 0x10f));
     st.insert(1, AddrRange(0x300, 0x30f));
     st.insert(1, AddrRange(0x500, 0x50f)); // spills [0x100, 0x10f]
@@ -267,7 +264,7 @@ TEST(TaintStorage, RemoveSplitCountsDropOnce)
 {
     // A mid-range remove on a full DropNew cache cannot allocate the
     // right-hand fragment: exactly one drop, flagged as saturation.
-    TaintStorage st(params(1, EvictPolicy::DropNew, false));
+    TaintStorage st(params(1, EvictPolicy::DropNew));
     st.insert(1, AddrRange(0x100, 0x1ff));
     EXPECT_TRUE(st.remove(1, AddrRange(0x140, 0x14f)));
     EXPECT_EQ(st.stats().dropped, 1u);
@@ -333,7 +330,7 @@ TEST_P(SpillDifferential, TinySpillCacheMatchesIdealStore)
     // unbounded reference — same answers AND same accounting — after
     // every single operation.
     Rng rng(GetParam());
-    TaintStorage hw(params(4, EvictPolicy::LruSpill, true));
+    TaintStorage hw(params(4, EvictPolicy::LruSpill));
     IdealRangeStore ideal;
 
     for (int step = 0; step < 4000; ++step) {
@@ -379,7 +376,7 @@ TEST_P(TinyLossyStorage, NeverFalsePositiveAndSaturationIsExact)
     // its negatives stay trustworthy.
     auto [policy, seed] = GetParam();
     Rng rng(seed);
-    TaintStorage hw(params(3, policy, true));
+    TaintStorage hw(params(3, policy));
     IdealRangeStore ideal;
 
     for (int step = 0; step < 3000; ++step) {
@@ -466,14 +463,14 @@ statFields(const core::StorageStats &s)
     return std::make_tuple(s.lookups, s.lookup_hits, s.spill_hits,
                            s.inserts, s.removes, s.evictions, s.dropped,
                            s.saturation_events, s.coalesces,
-                           s.max_entries_used, s.entry_compares);
+                           s.max_entries_used);
 }
 
 } // namespace
 
 class IndexVsScan
     : public ::testing::TestWithParam<
-          std::tuple<EvictPolicy, bool, size_t, uint64_t>>
+          std::tuple<EvictPolicy, size_t, uint64_t>>
 {};
 
 TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
@@ -483,8 +480,8 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
     // exported state (entries, stamps, clock, spills, saturation),
     // same totals and the same operation counters after every op,
     // including export -> restore round trips at random points.
-    auto [policy, coalesce, entries, seed] = GetParam();
-    const TaintStorageParams p = params(entries, policy, coalesce);
+    auto [policy, entries, seed] = GetParam();
+    const TaintStorageParams p = params(entries, policy);
     TaintStorage idx(p);
     testref::ReferenceTaintStorage ref(p);
     Rng rng(seed);
@@ -542,13 +539,6 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
                 << "pid " << q << " at step " << step;
         ASSERT_EQ(statFields(idx.stats()), statFields(ref.stats()))
             << "stats at step " << step;
-        // The CAM cost proxy: every comparator fires on each lookup,
-        // remove and coalescing insert.
-        const auto &st = idx.stats();
-        ASSERT_EQ(st.entry_compares,
-                  entries * (st.lookups + st.removes +
-                             (coalesce ? st.inserts : 0)))
-            << "step " << step;
     }
     EXPECT_GT(idx.stats().evictions + idx.stats().dropped, 0u);
     if (entries > 1) {
@@ -557,11 +547,10 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesCoalesceSizesSeeds, IndexVsScan,
+    PoliciesSizesSeeds, IndexVsScan,
     ::testing::Combine(::testing::Values(EvictPolicy::LruSpill,
                                          EvictPolicy::LruDrop,
                                          EvictPolicy::DropNew),
-                       ::testing::Bool(),
                        ::testing::Values(size_t(1), size_t(3),
                                          size_t(64), size_t(2730)),
                        ::testing::Values(3u, 101u, 977u)));

@@ -36,7 +36,6 @@ class TelemetryTest : public ::testing::Test
     void
     SetUp() override
     {
-        tel::setEnabled(true);
         tel::resetAll();
         tel::tracer().clear();
     }
@@ -44,7 +43,6 @@ class TelemetryTest : public ::testing::Test
     void
     TearDown() override
     {
-        tel::setEnabled(true);
         tel::resetAll();
         tel::tracer().clear();
     }
@@ -98,18 +96,6 @@ TEST_F(TelemetryTest, GaugeTracksValueAndPeak)
         EXPECT_EQ(g.value(), 0);
         EXPECT_EQ(g.peak(), 0);
     }
-}
-
-TEST_F(TelemetryTest, RuntimeDisableGatesUpdates)
-{
-    auto &c = tel::counter("test.counter.gated");
-    c.inc();
-    tel::setEnabled(false);
-    c.inc(100);
-    tel::setEnabled(true);
-    c.inc();
-    if (tel::compiledIn())
-        EXPECT_EQ(c.value(), 2u);
 }
 
 #if defined(PIFT_TELEMETRY_ENABLED)
@@ -236,7 +222,7 @@ TEST_F(TelemetryTest, SpanNestingSurvivesChromeExport)
         {
             tel::Span inner("inner", "test");
         }
-        tel::tracer().instant("marker", "test");
+        tel::tracer().counterSample("marker", 1.0);
     }
     auto events = tel::tracer().events();
     ASSERT_EQ(events.size(), 5u);
@@ -246,7 +232,7 @@ TEST_F(TelemetryTest, SpanNestingSurvivesChromeExport)
     EXPECT_EQ(events[1].ph, Ph::Begin);
     EXPECT_EQ(events[1].name, "inner");
     EXPECT_EQ(events[2].ph, Ph::End);
-    EXPECT_EQ(events[3].ph, Ph::Instant);
+    EXPECT_EQ(events[3].ph, Ph::Counter);
     EXPECT_EQ(events[4].ph, Ph::End);
     EXPECT_EQ(tel::tracer().depth(), 0);
 
@@ -254,10 +240,10 @@ TEST_F(TelemetryTest, SpanNestingSurvivesChromeExport)
     tel::writeChromeTrace(os, events);
     std::string json = os.str();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    // B...E pairs survive: two "ph":"B", two "ph":"E", one "ph":"i".
+    // B...E pairs survive: two "ph":"B", two "ph":"E", one "ph":"C".
     EXPECT_EQ(countOf(json, "\"ph\":\"B\""), 2u);
     EXPECT_EQ(countOf(json, "\"ph\":\"E\""), 2u);
-    EXPECT_EQ(countOf(json, "\"ph\":\"i\""), 1u);
+    EXPECT_EQ(countOf(json, "\"ph\":\"C\""), 1u);
     // Stream order preserved: outer begins before inner.
     EXPECT_LT(json.find("\"name\":\"outer\""),
               json.find("\"name\":\"inner\""));
@@ -274,7 +260,7 @@ TEST_F(TelemetryTest, OverlappingSpansOfTwoThreadsNestPerThread)
     // and End events interleave in the one stream. Each End closes
     // its own thread's innermost span, and both exports carry the
     // thread's id, so the B/E events of every tid nest.
-    tel::tracer().instant("main", "test");
+    tel::tracer().counterSample("main", 0.0);
     std::barrier sync(2);
     auto worker = [&](const std::string &name) {
         tel::Span outer(name + ".outer", "test");
@@ -342,7 +328,7 @@ TEST_F(TelemetryTest, TracerBoundsBufferAndCountsDrops)
     size_t old_cap = tr.capacity();
     tr.setCapacity(4);
     for (int i = 0; i < 8; ++i)
-        tr.instant("burst", "test");
+        tr.counterSample("burst", i);
     EXPECT_LE(tr.events().size(), 4u);
     EXPECT_GE(tr.dropped(), 4u);
     // A dropped Begin suppresses its End, keeping the stream nested.
@@ -368,7 +354,7 @@ TEST_F(TelemetryTest, RegistrySampleAppearsAsCounterEvents)
 
 TEST_F(TelemetryTest, JsonlEmitsOneObjectPerLine)
 {
-    tel::tracer().instant("one", "test");
+    tel::tracer().counterSample("one", 1.0);
     tel::tracer().counterSample("two", 2.5);
     std::ostringstream os;
     tel::writeJsonl(os, tel::tracer().events());
@@ -403,7 +389,6 @@ TEST_F(TelemetryTest, SuppressedWarningsFlowIntoTelemetry)
 TEST_F(TelemetryTest, CompiledOutStubsAreInert)
 {
     EXPECT_FALSE(tel::compiledIn());
-    EXPECT_FALSE(tel::enabled());
     tel::counter("test.off.counter").inc(100);
     EXPECT_EQ(tel::counter("test.off.counter").value(), 0u);
     {
