@@ -466,11 +466,18 @@ statFields(const core::StorageStats &s)
                            s.max_entries_used);
 }
 
+/** Where the random op stream puts its ranges. */
+enum class Layout
+{
+    Scattered, //!< any start, any length
+    Abutting,  //!< starts and lengths on an 8-byte grid
+};
+
 } // namespace
 
 class IndexVsScan
     : public ::testing::TestWithParam<
-          std::tuple<EvictPolicy, size_t, uint64_t>>
+          std::tuple<EvictPolicy, Layout, size_t, uint64_t>>
 {};
 
 TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
@@ -480,7 +487,7 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
     // exported state (entries, stamps, clock, spills, saturation),
     // same totals and the same operation counters after every op,
     // including export -> restore round trips at random points.
-    auto [policy, entries, seed] = GetParam();
+    auto [policy, layout, entries, seed] = GetParam();
     const TaintStorageParams p = params(entries, policy);
     TaintStorage idx(p);
     testref::ReferenceTaintStorage ref(p);
@@ -492,6 +499,7 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
     // One clear early on, so the cache refills after it.
     const int clear_at = static_cast<int>(rng.below(steps / 10));
     uint64_t multi_hits = 0;
+    uint64_t touch_merges = 0;
     for (int step = 0; step < steps; ++step) {
         ProcId pid = 1 + static_cast<ProcId>(rng.below(2));
         Addr start = 0x1000 + static_cast<Addr>(rng.below(span));
@@ -501,13 +509,30 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
         // several.
         Addr len = 1 + static_cast<Addr>(
             rng.below(op >= 6 && rng.below(4) == 0 ? 512 : 32));
+        if (layout == Layout::Abutting) {
+            // On an 8-byte grid, inserts often meet end to start
+            // without overlapping, so insert must merge ranges that
+            // only touch. Removes cut on grid lines, and refilling a
+            // hole merges the fragments on both sides.
+            start &= ~Addr(7);
+            len = (len + 7) & ~Addr(7);
+        }
         AddrRange r = AddrRange::fromSize(start, len);
         if (step == clear_at) {
             idx.clear();
             ref.clear();
         } else if (op < 6) {
+            const uint64_t bytes = ref.bytes();
+            const size_t valid = ref.validEntries();
+            const uint64_t lost =
+                ref.stats().evictions + ref.stats().dropped;
             ASSERT_EQ(idx.insert(pid, r), ref.insert(pid, r))
                 << "insert at step " << step;
+            // One entry absorbed, none lost and every byte new: r
+            // only touched that entry.
+            touch_merges += ref.validEntries() == valid &&
+                ref.bytes() == bytes + r.bytes() &&
+                ref.stats().evictions + ref.stats().dropped == lost;
         } else if (op < 9) {
             ASSERT_EQ(idx.remove(pid, r), ref.remove(pid, r))
                 << "remove at step " << step;
@@ -544,13 +569,18 @@ TEST_P(IndexVsScan, EveryOpMatchesLinearScanReference)
     if (entries > 1) {
         EXPECT_GT(multi_hits, 0u);
     }
+    if (layout == Layout::Abutting) {
+        EXPECT_GT(touch_merges, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesSizesSeeds, IndexVsScan,
+    PoliciesLayoutsSizesSeeds, IndexVsScan,
     ::testing::Combine(::testing::Values(EvictPolicy::LruSpill,
                                          EvictPolicy::LruDrop,
                                          EvictPolicy::DropNew),
+                       ::testing::Values(Layout::Scattered,
+                                         Layout::Abutting),
                        ::testing::Values(size_t(1), size_t(3),
                                          size_t(64), size_t(2730)),
                        ::testing::Values(3u, 101u, 977u)));

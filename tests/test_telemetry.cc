@@ -1,9 +1,10 @@
 /**
  * @file
  * Telemetry subsystem tests: registry semantics (counter/gauge/
- * histogram), bucket boundary placement, snapshot determinism, span
- * nesting in the Chrome export, the JSONL writer, and the
- * warnings_suppressed_total bridge from support/logging.
+ * histogram), exact counts under concurrent updates, bucket boundary
+ * placement, snapshot determinism, span nesting in the Chrome export,
+ * the JSONL writer, and the warnings_suppressed_total bridge from
+ * support/logging.
  *
  * The file compiles and passes in both PIFT_TELEMETRY modes: with
  * OFF, every instrument is an inline stub that reads zero, and the
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -96,6 +98,48 @@ TEST_F(TelemetryTest, GaugeTracksValueAndPeak)
         EXPECT_EQ(g.value(), 0);
         EXPECT_EQ(g.peak(), 0);
     }
+}
+
+TEST_F(TelemetryTest, ConcurrentUpdatesLoseNoCount)
+{
+    // Service workers update the same instruments with neither a lock
+    // nor a runtime gate: every relaxed update must land, and a
+    // histogram's buckets must still sum to its count, the invariant
+    // the pift_cli telemetry report checks.
+    constexpr uint64_t threads = 4;
+    constexpr uint64_t per_thread = 10'000;
+    auto &c = tel::counter("test.concurrent.counter");
+    auto &g = tel::gauge("test.concurrent.gauge");
+    auto &h = tel::histogram("test.concurrent.hist", {1, 8, 64});
+    std::vector<std::thread> pool;
+    for (uint64_t t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            for (uint64_t i = 0; i < per_thread; ++i) {
+                c.inc();
+                g.add(1);
+                h.observe((i + t) % 100);
+            }
+        });
+    for (auto &worker : pool)
+        worker.join();
+
+    uint64_t want = 0;
+    uint64_t want_sum = 0;
+    if (tel::compiledIn()) {
+        want = threads * per_thread;
+        for (uint64_t t = 0; t < threads; ++t)
+            for (uint64_t i = 0; i < per_thread; ++i)
+                want_sum += (i + t) % 100;
+    }
+    EXPECT_EQ(c.value(), want);
+    EXPECT_EQ(g.value(), static_cast<int64_t>(want));
+    EXPECT_EQ(g.peak(), static_cast<int64_t>(want));
+    EXPECT_EQ(h.count(), want);
+    EXPECT_EQ(h.sum(), want_sum);
+    uint64_t in_buckets = 0;
+    for (size_t b = 0; b <= 3; ++b)
+        in_buckets += h.bucketCount(b);
+    EXPECT_EQ(in_buckets, want);
 }
 
 #if defined(PIFT_TELEMETRY_ENABLED)
